@@ -19,13 +19,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
 from .boundary import MacroBC, MacroBCKind
 from .errors import EigenSolveError, KindUnsupported, NoRootInBracket
 from .homogenize import SlowManifold
 from .lattice import LatticeSpec, build_B, build_L0
-
-_ZERO_EIG_REL = 1e-12  # slowest-mode selection threshold vs largest eigenvalue
 
 
 @dataclass
@@ -77,49 +77,64 @@ class SpectrumReport:
 
 
 def _interior_system(spec: LatticeSpec):
-    """Clamped stiffness and mass diagonal over masses n = 1..N-1."""
+    """Clamped stiffness and mass diagonal over masses n = 1..N-1.
+
+    The stiffness is block-tridiagonal in the column index, returned as a
+    sparse CSC matrix: on-site blocks kappa_cross[m].T - diag(totals),
+    couplings diag(kappa_long[m]) between columns n and n+1 (m = n mod p).
+    """
     s, N, p = spec.s, spec.N, spec.p
     size = s * (N - 1)
-    S = np.zeros((size, size))
-    mass = np.empty(size)
-    for n in range(1, N):
-        mn = n % p
-        mp_ = (n - 1) % p
-        for j in range(s):
-            r = (n - 1) * s + j
-            mass[r] = spec.h ** 2 * spec.rho[mn, j]
-            ktot = (
-                spec.kappa_long[mp_, j]
-                + spec.kappa_long[mn, j]
-                + spec.kappa_cross[mn, :, j].sum()
-            )
-            S[r, r] -= ktot
-            for i in range(s):
-                if i != j:
-                    S[r, (n - 1) * s + i] += spec.kappa_cross[mn, i, j]
-            if n - 1 >= 1:
-                S[r, (n - 2) * s + j] += spec.kappa_long[mp_, j]
-            if n + 1 <= N - 1:
-                S[r, n * s + j] += spec.kappa_long[mn, j]
+    m_here = np.arange(1, N) % p          # column of the masses n = 1..N-1
+    m_prev = np.arange(0, N - 1) % p      # column of their left springs
+    mass = spec.h ** 2 * spec.rho[m_here].ravel()
+
+    cross = spec.kappa_cross[m_here]      # (N-1, s, s)
+    totals = spec.kappa_long[m_prev] + spec.kappa_long[m_here] + cross.sum(axis=1)
+    onsite = cross.transpose(0, 2, 1).copy()
+    strands = np.arange(s)
+    onsite[:, strands, strands] -= totals
+
+    base = (np.arange(N - 1) * s)[:, None, None]
+    rows = np.broadcast_to(base + strands[None, :, None], onsite.shape).ravel()
+    cols = np.broadcast_to(base + strands[None, None, :], onsite.shape).ravel()
+    link_rows = np.arange(size - s)
+    link = spec.kappa_long[m_here[:-1]].ravel()   # column n to n+1, n = 1..N-2
+    rows = np.concatenate([rows, link_rows, link_rows + s])
+    cols = np.concatenate([cols, link_rows + s, link_rows])
+    vals = np.concatenate([onsite.ravel(), link, link])
+    keep = vals != 0.0
+    S = scipy.sparse.csc_array((vals[keep], (rows[keep], cols[keep])), shape=(size, size))
     return S, mass
 
 
 def microscale_slowest_mode(spec: LatticeSpec):
     """Smallest eigenpair of the clamped microscale lattice.
 
+    K = -S is symmetric positive definite for a valid spec (positive
+    longitudinal springs, both ends clamped), so the slowest mode is the
+    eigenvalue nearest zero: shift-invert at sigma = 0 finds it alone.
+    K has non-positive off-diagonals, so its lowest eigenvector can be
+    taken non-negative and the all-ones start vector always overlaps it.
+
     Returns (lambda, w) with w of shape (N+1, s), zero at n = 0 and N.
     """
     if spec.N < 2:
         raise ValueError(f"need N >= 2 intervals, got {spec.N}")
     S, mass = _interior_system(spec)
+    size = mass.size
     try:
-        lam, vecs = scipy.linalg.eigh(-S, np.diag(mass))
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:  # pragma: no cover
+        if size <= 2:  # ARPACK needs k < n
+            lam, vecs = scipy.linalg.eigh(-S.toarray(), np.diag(mass), subset_by_index=[0, 0])
+        else:
+            lam, vecs = scipy.sparse.linalg.eigsh(
+                -S, k=1, M=scipy.sparse.diags(mass), sigma=0, v0=np.ones(size)
+            )
+    except (RuntimeError, np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
         raise EigenSolveError(f"microscale eigensolve failed: {exc}") from exc
-    idx = int(np.argmax(lam > _ZERO_EIG_REL * lam[-1]))
     w = np.zeros((spec.N + 1, spec.s))
-    w[1: spec.N, :] = vecs[:, idx].reshape(spec.N - 1, spec.s)
-    return float(lam[idx]), w
+    w[1: spec.N, :] = vecs[:, 0].reshape(spec.N - 1, spec.s)
+    return float(lam[0]), w
 
 
 def _bc_coefficients(bc: MacroBC):
@@ -152,21 +167,23 @@ def macroscale_slowest_mode(c: float, L: float, bc0: MacroBC, bcL: MacroBC, x_gr
 
     q_hi = 3.0 * np.pi / L
     qs = np.linspace(q_hi * 1e-6, q_hi, 6001)
-    vals = np.array([g(q) for q in qs])
+    vals = g(qs)
     sign_change = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-    root = None
-    for i in sign_change:
-        lo, hi = qs[i], qs[i + 1]
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if g(lo) * g(mid) <= 0:
-                hi = mid
-            else:
-                lo = mid
-        root = 0.5 * (lo + hi)
-        break
-    if root is None:
+    if sign_change.size == 0:
         raise NoRootInBracket(f"no macroscale eigen-root in (0, {q_hi:g})")
+    i = sign_change[0]
+    lo, hi = qs[i], qs[i + 1]
+    g_lo = g(lo)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        g_mid = g(mid)
+        if g_lo * g_mid <= 0:
+            hi = mid
+        else:
+            lo, g_lo = mid, g_mid
+    root = 0.5 * (lo + hi)
     x = np.asarray(x_grid, dtype=float)
     mode = np.sin(root * x + phi(root))
     return float(c * root ** 2), mode

@@ -352,7 +352,7 @@ def test_criterion_10_uniform_chain_analytics():
     from latticebc.validate import _interior_system
 
     S, mass = _interior_system(spec)
-    lam = scipy.linalg.eigh(-S, np.diag(mass), eigvals_only=True)
+    lam = scipy.linalg.eigh(-S.toarray(), np.diag(mass), eigvals_only=True)
     N, kappa, rho, h = spec.N, 1.3, 0.7, 1.0
     expected = np.sort([2 * kappa / (rho * h * h) * (1 - np.cos(np.pi * m / N))
                         for m in range(1, N)])

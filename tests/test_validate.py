@@ -3,6 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
 from latticebc import (
     MacroBC,
@@ -49,7 +51,7 @@ class TestMicroscale:
         from latticebc.validate import _interior_system
 
         S, mass = _interior_system(spec)
-        lam = scipy.linalg.eigh(-S, np.diag(mass), eigvals_only=True)
+        lam = scipy.linalg.eigh(-S.toarray(), np.diag(mass), eigvals_only=True)
         expected = np.sort([2.0 * (1 - np.cos(np.pi * m / 8)) for m in range(1, 8)])
         assert np.allclose(lam, expected, rtol=1e-10)
 
@@ -66,6 +68,79 @@ class TestMicroscale:
         ref = np.sin(np.pi * np.arange(9) / 8)
         scale = shape[4] / ref[4]
         assert np.max(np.abs(shape - scale * ref)) < 1e-10 * abs(scale)
+
+
+def dense_slowest(spec):
+    """Reference: every eigenpair of the clamped system, densely."""
+    from latticebc.validate import _interior_system
+
+    S, mass = _interior_system(spec)
+    lam, vecs = scipy.linalg.eigh(-S.toarray(), np.diag(mass))
+    return lam[0], vecs[:, 0].reshape(spec.N - 1, spec.s)
+
+
+def unit_avg(w):
+    avg = w.mean(axis=1)
+    return avg / np.linalg.norm(avg)
+
+
+class TestSparseEigensolve:
+    def test_assembly_is_sparse(self, demo2x2_spec):
+        from latticebc.validate import _interior_system
+
+        S, mass = _interior_system(demo2x2_spec)
+        assert scipy.sparse.issparse(S) and S.format == "csc"
+        assert S.shape == (30, 30) and mass.shape == (30,)
+        # two strands: 2 diagonal + 2 cross entries per column, 2 links per step
+        assert S.nnz == 15 * 4 + 14 * 4
+
+    def test_agrees_with_dense_on_random_lattices(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(50):
+            s, p = int(rng.integers(1, 7)), int(rng.integers(1, 9))
+            spec = random_spec(rng, s, p, N=int(rng.integers(2, 61)))
+            lam, w = microscale_slowest_mode(spec)
+            lam_ref, w_ref = dense_slowest(spec)
+            assert lam == pytest.approx(lam_ref, rel=1e-9)
+            a, b = unit_avg(w[1:-1]), unit_avg(w_ref)
+            assert np.max(np.abs(a - np.sign(a @ b) * b)) < 1e-8
+            assert np.all(w[0] == 0.0) and np.all(w[-1] == 0.0)
+
+    @pytest.mark.parametrize("s,N", [(1, 2), (2, 2), (1, 3)])
+    def test_tiny_systems(self, s, N):
+        spec = random_spec(np.random.default_rng(s * 10 + N), s, 2, N=N)
+        lam, w = microscale_slowest_mode(spec)
+        lam_ref, w_ref = dense_slowest(spec)
+        assert lam == pytest.approx(lam_ref, rel=1e-12)
+        assert w.shape == (N + 1, s)
+        assert np.allclose(np.abs(w[1:-1]), np.abs(w_ref), atol=1e-12)
+
+    def test_identical_strands_long_domain(self):
+        # cross springs stay unstretched in the slowest mode of identical
+        # strands, so it is the uniform chain's: 8997 dofs
+        s, kappa, rho, h, N = 3, 1.3, 0.7, 0.5, 3000
+        cross = np.full((1, s, s), 0.9)
+        cross[0][np.diag_indices(s)] = 0.0
+        spec = make_spec(s, 1, np.full((1, s), kappa), cross, np.full((1, s), rho), h=h, N=N)
+        lam, w = microscale_slowest_mode(spec)
+        expected = 2 * kappa / (rho * h * h) * (1 - np.cos(np.pi / N))
+        assert lam == pytest.approx(expected, rel=1e-9)
+        ref = np.sin(np.pi * np.arange(N + 1) / N)
+        shape = w[:, 0] / w[N // 2, 0]
+        assert np.max(np.abs(shape - ref)) < 1e-8
+        assert np.allclose(w, w[:, :1], atol=1e-8 * np.abs(w).max())
+
+    def test_arpack_failure_is_typed(self, demo2x2_spec, monkeypatch):
+        from scipy.sparse.linalg import ArpackNoConvergence
+
+        from latticebc.errors import EigenSolveError
+
+        def fail(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((30, 0)))
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
+        with pytest.raises(EigenSolveError):
+            microscale_slowest_mode(demo2x2_spec)
 
 
 class TestMacroscale:
