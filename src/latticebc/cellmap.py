@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import NoJordanChain, SingularInterior, UnexpectedSpectrum
-from .lattice import LatticeSpec, build_steady_operator
+from .errors import NoJordanChain, UnexpectedSpectrum
+from .lattice import LatticeSpec, build_steady_operator, column_blocks
 
 # |mu - 1| below this counts as the doubled neutral eigenvalue.  Kept
 # separate from generic eigen tolerances: near-degenerate stiffness pulls
@@ -74,57 +74,50 @@ class CellMap:
         return self.T.shape[0] // 2
 
 
-def _solve_longdouble(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Partial-pivot elimination in extended precision.
+def _interior_recurrence(spec: LatticeSpec) -> np.ndarray:
+    """Interior solve as a forward recurrence in extended precision.
 
-    LAPACK only offers double; for interior blocks with condition beyond
-    1e8 the extra longdouble digits keep the transfer matrix accurate
-    enough to use.  Sizes here are tiny, so the cost is negligible.
+    The interior block is block lower-triangular with diagonal blocks
+    diag(kappa_long): equation n, left*x[n-1] + onsite @ x[n] +
+    right*x[n+1] = 0, yields column n+1 from the two before it, starting
+    from x[0] = [I 0] and x[1] = [0 I].  The extra longdouble digits keep
+    the result forward accurate where the block is too ill-conditioned
+    for LU in double.  Returns the (s*p, 2s) block for columns 2..p+1.
     """
-    A = A.astype(np.longdouble).copy()
-    B = B.astype(np.longdouble).copy()
-    n = A.shape[0]
-    piv_min, piv_max = np.inf, 0.0
-    for k in range(n):
-        piv = k + int(np.argmax(np.abs(A[k:, k])))
-        mag = float(np.abs(A[piv, k]))
-        if mag == 0.0:
-            raise SingularInterior("interior steady block is exactly singular")
-        piv_min, piv_max = min(piv_min, mag), max(piv_max, mag)
-        if piv != k:
-            A[[k, piv]] = A[[piv, k]]
-            B[[k, piv]] = B[[piv, k]]
-        f = A[k + 1:, k] / A[k, k]
-        A[k + 1:, k + 1:] -= np.outer(f, A[k, k + 1:])
-        B[k + 1:] -= np.outer(f, B[k])
-    if piv_min <= float(np.finfo(np.longdouble).eps) * n * piv_max:
-        raise SingularInterior("interior steady block is numerically singular")
-    X = np.zeros_like(B)
-    for k in range(n - 1, -1, -1):
-        X[k] = (B[k] - A[k, k + 1:] @ X[k + 1:]) / A[k, k]
-    return X
+    s, p = spec.s, spec.p
+    left, onsite, right = (
+        b.astype(np.longdouble) for b in column_blocks(spec, np.arange(1, p + 1))
+    )
+    x = np.zeros((p + 2, s, 2 * s), dtype=np.longdouble)
+    x[0, :, :s] = np.eye(s)
+    x[1, :, s:] = np.eye(s)
+    for n in range(p):   # the equation of column n + 1
+        x[n + 2] = -(left[n, :, None] * x[n] + onsite[n] @ x[n + 1]) / right[n, :, None]
+    return x[2:].reshape(p * s, 2 * s)
 
 
-def _interior_extension(spec: LatticeSpec):
+def _interior_extension(spec: LatticeSpec, A: np.ndarray):
     """Matrix E mapping u_0 to all masses of columns 0..p+1.
 
+    `A` is the one-cell steady operator, build_steady_operator(spec, p).
     Rows 0..2s-1 are the identity on u_0; the rest solve the s*p interior
     equilibrium equations.  Also returns the relative accuracy of the
     extension (solver epsilon times the interior condition number) and
     the condition estimate itself.  The condition number grows like the
     boundary-layer growth factor to the power p, so extreme-but-valid
     lattices can exceed double range; positivity of the elasticities
-    keeps the block structurally invertible, and the solve switches to
-    extended precision rather than reject such inputs.
+    keeps the block invertible, and the solve switches to the
+    extended-precision recurrence rather than reject such inputs.  Below
+    that switch LU is kept: its backward error is a perturbation of the
+    lattice, which preserves the reciprocal pairing of T's eigenvalues.
     """
-    s, p = spec.s, spec.p
-    A = build_steady_operator(spec, rows=p)
+    s = spec.s
     A0 = A[:, : 2 * s]
     Aint = A[:, 2 * s:]
     sv = np.linalg.svd(Aint, compute_uv=False)
     cond = float(sv[0] / max(sv[-1], np.finfo(float).tiny))
     if cond > 1e8:
-        X = _solve_longdouble(Aint, -A0).astype(float)
+        X = _interior_recurrence(spec).astype(float)
         data_error = float(np.finfo(np.longdouble).eps) * cond
     else:
         X = np.linalg.solve(Aint, -A0)
@@ -133,7 +126,7 @@ def _interior_extension(spec: LatticeSpec):
     return np.vstack([np.eye(2 * s), X]), data_error, cond
 
 
-def _cell_pencil(spec: LatticeSpec):
+def _cell_pencil(spec: LatticeSpec, A: np.ndarray):
     """Linear pencil whose eigenpairs are the cell-map eigenpairs.
 
     The map ansatz (displacements repeat with factor mu per cell) turns
@@ -144,7 +137,6 @@ def _cell_pencil(spec: LatticeSpec):
     (whose entries grow like the boundary-layer factor to the power p).
     """
     s, p = spec.s, spec.p
-    A = build_steady_operator(spec, rows=p)
     if p == 1:
         a0, a1, a2 = A[:, :s], A[:, s: 2 * s], A[:, 2 * s:]
         P = np.block([[np.zeros((s, s)), np.eye(s)], [a0, a1]])
@@ -155,10 +147,10 @@ def _cell_pencil(spec: LatticeSpec):
     return P, Q
 
 
-def _pencil_eigendata(spec: LatticeSpec):
+def _pencil_eigendata(spec: LatticeSpec, A: np.ndarray):
     """Cell-map eigenvalues and u_0-restricted eigenvectors via QZ."""
-    s, p = spec.s, spec.p
-    P, Q = _cell_pencil(spec)
+    s = spec.s
+    P, Q = _cell_pencil(spec, A)
     mu, vr = scipy.linalg.eig(P, -Q, right=True)
     # The pencil carries s*(p-2) spurious infinite eigenvalues (Q is rank
     # 2s); the genuine spectrum is the 2s smallest by modulus.
@@ -181,7 +173,8 @@ def build_cell_map(spec: LatticeSpec, center_tol: float = CENTER_TOL) -> CellMap
     switches to the equivalent well-scaled cell pencil.
     """
     s, p = spec.s, spec.p
-    E, data_error, cond = _interior_extension(spec)
+    A = build_steady_operator(spec, rows=p)
+    E, data_error, cond = _interior_extension(spec, A)
     T = E[p * s: (p + 2) * s, :]
     part = None
     if cond <= 1e12:
@@ -190,9 +183,9 @@ def build_cell_map(spec: LatticeSpec, center_tol: float = CENTER_TOL) -> CellMap
         except UnexpectedSpectrum:
             part = None
     if part is None:
-        mu, V = _pencil_eigendata(spec)
+        mu, V = _pencil_eigendata(spec, A)
         part = _partition(mu, V, tol=center_tol, data_error=np.finfo(float).eps)
-    vg, fcg = _jordan_extension(spec)
+    vg, fcg = _jordan_extension(spec, A)
     return CellMap(
         T=T,
         eigenvalues=part.eigenvalues,
@@ -295,7 +288,7 @@ def classify_trichotomy(
     return _partition(mu, V, tol=tol, data_error=data_error)
 
 
-def _jordan_extension(spec: LatticeSpec):
+def _jordan_extension(spec: LatticeSpec, A: np.ndarray):
     """Generalized eigenvector and its first-cell continuation.
 
     Solves for a one-cell displacement profile x (columns 0..p+1) that is
@@ -305,7 +298,6 @@ def _jordan_extension(spec: LatticeSpec):
     are huge.  Returns (v_g, first_cell_gen).
     """
     s, p = spec.s, spec.p
-    A = build_steady_operator(spec, rows=p)
     n_all = s * (p + 2)
     jump = np.zeros((2 * s, n_all))
     jump[:, p * s:] = np.eye(2 * s)
@@ -315,7 +307,9 @@ def _jordan_extension(spec: LatticeSpec):
     scale = max(1.0, np.abs(A).max())
     M = np.vstack([A / scale, jump, gauge])
     rhs = np.concatenate([np.zeros(s * p), np.ones(2 * s), [0.0]])
-    x, *_ = np.linalg.lstsq(M, rhs, rcond=None)
+    # M has full column rank (the gauge row excludes the constant vector),
+    # so pivoted QR solves it as well as an SVD, at a fraction of the cost.
+    x, *_ = scipy.linalg.lstsq(M, rhs, lapack_driver="gelsy")
     x = x - x[0]
     res = np.linalg.norm(M @ x - rhs)
     if res > 1e-9 * n_all:
@@ -353,5 +347,5 @@ def reconstruct_first_cell(spec: LatticeSpec, boundary_pair_values: np.ndarray) 
     u0 = np.asarray(boundary_pair_values, dtype=float)
     if u0.shape != (2 * spec.s,):
         raise ValueError(f"expected {2 * spec.s} boundary values, got shape {u0.shape}")
-    E, _, _ = _interior_extension(spec)
+    E, _, _ = _interior_extension(spec, build_steady_operator(spec, rows=spec.p))
     return (E @ u0)[: spec.p * spec.s]

@@ -289,7 +289,9 @@ def cmd_derive_bc(cfg: RunConfig) -> dict:
     spec = cfg.spec
     center_tol = cfg.tolerances["center_eigenvalue"]
     null_tol = cfg.tolerances["null_space"]
-    left = boundary.left_end_bc(spec, cfg.micro_bc_left, center_tol, null_tol)
+    cm = boundary.build_cell_map(spec, center_tol)
+    cs = boundary.assemble_constraints(cm, cfg.micro_bc_left, spec)
+    left = boundary.derive_macro_bc(cs, null_tol)
     if cfg.micro_bc_left.kind == BCKind.MIXED:
         right = None
     else:
@@ -304,7 +306,6 @@ def cmd_derive_bc(cfg: RunConfig) -> dict:
         if mb is not None and mb.d is not None:
             report[key]["d_over_h"] = mb.d / spec.h
     if spec.s == 2 and spec.p == 2 and cfg.micro_bc_left.kind == BCKind.DIRICHLET:
-        cm = boundary.build_cell_map(spec, center_tol)
         cf = boundary.closed_form_bc(BCKind.DIRICHLET, cm, spec)
         report["closed_form_left"] = {
             "d_over_h": cf.d / spec.h,

@@ -181,14 +181,22 @@ def check_spec(spec: LatticeSpec) -> LatticeSpec:
     return spec
 
 
-def _kappa_plus(spec: LatticeSpec, m: int, j: int) -> float:
-    """Total elasticity attached to mass (m, j)."""
+def column_blocks(spec: LatticeSpec, n: np.ndarray):
+    """Nearest-neighbour stencil of the force balance on global columns n.
+
+    Returns (left, onsite, right): the couplings diag(left) to column n-1
+    and diag(right) to column n+1, each (..., s), and the on-site block
+    kappa_cross.T - diag(total elasticity), (..., s, s).  Every lattice
+    operator is assembled from these blocks.
+    """
     p = spec.p
-    return (
-        spec.kappa_long[(m - 1) % p, j]
-        + spec.kappa_long[m % p, j]
-        + spec.kappa_cross[m % p, :, j].sum()
-    )
+    left = spec.kappa_long[(n - 1) % p]
+    right = spec.kappa_long[n % p]
+    cross = spec.kappa_cross[n % p]
+    onsite = np.swapaxes(cross, -1, -2).copy()
+    strands = np.arange(spec.s)
+    onsite[..., strands, strands] -= left + right + cross.sum(axis=-2)
+    return left, onsite, right
 
 
 def build_B(spec: LatticeSpec) -> np.ndarray:
@@ -196,21 +204,30 @@ def build_B(spec: LatticeSpec) -> np.ndarray:
     return np.diag(spec.h ** 2 * spec.rho.reshape(-1))
 
 
+def _periodic_operator(spec: LatticeSpec, epos, eneg, dtype) -> np.ndarray:
+    """Periodic cell stiffness with weighted links between columns.
+
+    The links to the next and previous columns carry the weights epos and
+    eneg: scalars, or coefficient arrays whose trailing axis the result
+    gains; on-site blocks fill the leading coefficient only.  For p <= 2
+    both links of a mass land on one column (for p = 1 on the mass
+    itself), so they are added in turn, right link first.
+    """
+    s, p = spec.s, spec.p
+    left, onsite, right = column_blocks(spec, np.arange(p))
+    tail = np.shape(epos)
+    L = np.zeros((p, s, p, s) + tail, dtype=dtype)
+    m = np.arange(p)
+    L.reshape(p, s, p, s, -1)[m, :, m, :, 0] = onsite
+    m, j = m[:, None], np.arange(s)[None, :]
+    L[m, j, (m + 1) % p, j] += np.multiply.outer(right, epos)
+    L[m, j, (m - 1) % p, j] += np.multiply.outer(left, eneg)
+    return L.reshape((s * p, s * p) + tail)
+
+
 def build_L0(spec: LatticeSpec) -> np.ndarray:
     """Zero-wavenumber stiffness; symmetric with zero row sums."""
-    s, p = spec.s, spec.p
-    n = s * p
-    L0 = np.zeros((n, n))
-    for m in range(p):
-        for j in range(s):
-            r = m * s + j
-            L0[r, r] -= _kappa_plus(spec, m, j)
-            for i in range(s):
-                if i != j:
-                    L0[r, m * s + i] += spec.kappa_cross[m, i, j]
-            L0[r, ((m + 1) % p) * s + j] += spec.kappa_long[m, j]
-            L0[r, ((m - 1) % p) * s + j] += spec.kappa_long[(m - 1) % p, j]
-    return L0
+    return _periodic_operator(spec, 1.0, 1.0, float)
 
 
 def build_Lk(spec: LatticeSpec) -> KPolyMatrix:
@@ -218,21 +235,9 @@ def build_Lk(spec: LatticeSpec) -> KPolyMatrix:
 
     Hermitian when evaluated at real k; the k^0 part equals build_L0.
     """
-    s, p = spec.s, spec.p
-    n = s * p
     epos = exp_ikh(+1, spec.h).as_array()
     eneg = exp_ikh(-1, spec.h).as_array()
-    M = KPolyMatrix.zeros(n, n)
-    for m in range(p):
-        for j in range(s):
-            r = m * s + j
-            M.data[r, r, 0] -= _kappa_plus(spec, m, j)
-            for i in range(s):
-                if i != j:
-                    M.data[r, m * s + i, 0] += spec.kappa_cross[m, i, j]
-            M.data[r, ((m + 1) % p) * s + j, :] += spec.kappa_long[m, j] * epos
-            M.data[r, ((m - 1) % p) * s + j, :] += spec.kappa_long[(m - 1) % p, j] * eneg
-    return M
+    return KPolyMatrix(_periodic_operator(spec, epos, eneg, complex))
 
 
 def build_Lk_exact(spec: LatticeSpec, k: float) -> np.ndarray:
@@ -241,21 +246,9 @@ def build_Lk_exact(spec: LatticeSpec, k: float) -> np.ndarray:
     Kept independent of the truncated path so the dispersion computation
     can serve as an oracle for the low-k expansion.
     """
-    s, p = spec.s, spec.p
-    n = s * p
     epos = np.exp(1j * k * spec.h)
     eneg = np.exp(-1j * k * spec.h)
-    L = np.zeros((n, n), dtype=complex)
-    for m in range(p):
-        for j in range(s):
-            r = m * s + j
-            L[r, r] -= _kappa_plus(spec, m, j)
-            for i in range(s):
-                if i != j:
-                    L[r, m * s + i] += spec.kappa_cross[m, i, j]
-            L[r, ((m + 1) % p) * s + j] += spec.kappa_long[m, j] * epos
-            L[r, ((m - 1) % p) * s + j] += spec.kappa_long[(m - 1) % p, j] * eneg
-    return L
+    return _periodic_operator(spec, epos, eneg, complex)
 
 
 def build_steady_operator(spec: LatticeSpec, rows: int | None = None) -> np.ndarray:
@@ -270,19 +263,14 @@ def build_steady_operator(spec: LatticeSpec, rows: int | None = None) -> np.ndar
     if rows < 1:
         raise ValueError(f"rows={rows} must be >= 1")
     s = spec.s
-    A = np.zeros((s * rows, s * (rows + 2)))
-    for n in range(1, rows + 1):
-        mn = n % spec.p
-        mp = (n - 1) % spec.p
-        for j in range(s):
-            r = (n - 1) * s + j
-            A[r, (n - 1) * s + j] += spec.kappa_long[mp, j]
-            A[r, (n + 1) * s + j] += spec.kappa_long[mn, j]
-            for i in range(s):
-                if i != j:
-                    A[r, n * s + i] += spec.kappa_cross[mn, i, j]
-            A[r, n * s + j] -= _kappa_plus(spec, n, j)
-    return A
+    left, onsite, right = column_blocks(spec, np.arange(1, rows + 1))
+    A = np.zeros((rows, s, rows + 2, s))
+    r = np.arange(rows)
+    A[r, :, r + 1, :] = onsite
+    r, j = r[:, None], np.arange(s)[None, :]
+    A[r, j, r, j] = left
+    A[r, j, r + 2, j] = right
+    return A.reshape(s * rows, s * (rows + 2))
 
 
 def reversed_spec(spec: LatticeSpec) -> LatticeSpec:

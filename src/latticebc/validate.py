@@ -25,7 +25,7 @@ import scipy.sparse.linalg
 from .boundary import MacroBC, MacroBCKind
 from .errors import EigenSolveError, KindUnsupported, NoRootInBracket
 from .homogenize import SlowManifold
-from .lattice import LatticeSpec, build_B, build_L0
+from .lattice import LatticeSpec, build_B, build_L0, column_blocks
 
 
 @dataclass
@@ -79,27 +79,21 @@ class SpectrumReport:
 def _interior_system(spec: LatticeSpec):
     """Clamped stiffness and mass diagonal over masses n = 1..N-1.
 
-    The stiffness is block-tridiagonal in the column index, returned as a
-    sparse CSC matrix: on-site blocks kappa_cross[m].T - diag(totals),
-    couplings diag(kappa_long[m]) between columns n and n+1 (m = n mod p).
+    The stiffness is block-tridiagonal in the column index, assembled
+    from the column_blocks stencil as a sparse CSC matrix.
     """
-    s, N, p = spec.s, spec.N, spec.p
+    s, N = spec.s, spec.N
     size = s * (N - 1)
-    m_here = np.arange(1, N) % p          # column of the masses n = 1..N-1
-    m_prev = np.arange(0, N - 1) % p      # column of their left springs
-    mass = spec.h ** 2 * spec.rho[m_here].ravel()
-
-    cross = spec.kappa_cross[m_here]      # (N-1, s, s)
-    totals = spec.kappa_long[m_prev] + spec.kappa_long[m_here] + cross.sum(axis=1)
-    onsite = cross.transpose(0, 2, 1).copy()
+    n = np.arange(1, N)
+    mass = spec.h ** 2 * spec.rho[n % spec.p].ravel()
+    _, onsite, right = column_blocks(spec, n)
     strands = np.arange(s)
-    onsite[:, strands, strands] -= totals
 
     base = (np.arange(N - 1) * s)[:, None, None]
     rows = np.broadcast_to(base + strands[None, :, None], onsite.shape).ravel()
     cols = np.broadcast_to(base + strands[None, None, :], onsite.shape).ravel()
     link_rows = np.arange(size - s)
-    link = spec.kappa_long[m_here[:-1]].ravel()   # column n to n+1, n = 1..N-2
+    link = right[:-1].ravel()   # column n to n+1, n = 1..N-2
     rows = np.concatenate([rows, link_rows, link_rows + s])
     cols = np.concatenate([cols, link_rows + s, link_rows])
     vals = np.concatenate([onsite.ravel(), link, link])

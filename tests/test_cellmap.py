@@ -6,6 +6,7 @@ import pytest
 from latticebc import (
     UnexpectedSpectrum,
     build_cell_map,
+    build_steady_operator,
     classify_trichotomy,
     jordan_chain,
     left_end_bc,
@@ -72,6 +73,37 @@ class TestBuildMap:
             keep = [i for i in range(2 * s) if i not in (s - 1, s)]
             assert np.max(np.abs(mu1[keep] - mu2[keep])) < 1e-10 * max(1.0, np.max(np.abs(mu1)))
             assert np.max(np.abs(mu2[[s - 1, s]] - 1.0)) < 1e-6
+
+
+    def test_ill_conditioned_interior_matches_high_precision(self):
+        # Interior blocks with condition in (1e8, 1e12] take the
+        # extended-precision recurrence; T must then be forward accurate,
+        # checked against a 60-digit elimination of the same equations.
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 60
+        rng = np.random.default_rng(5)
+        checked = 0
+        for _ in range(200):
+            s, p = int(rng.integers(3, 7)), int(rng.integers(7, 10))
+            spec = random_spec(rng, s, p)
+            A = build_steady_operator(spec)
+            if not 1e8 < np.linalg.cond(A[:, 2 * s:]) <= 1e12:
+                continue
+            LU, piv = mp.LU_decomp(mp.matrix(A[:, 2 * s:].tolist()))
+            rhs = mp.matrix((-A[:, : 2 * s]).tolist())
+            T_ref = np.array(
+                [[float(x) for x in mp.U_solve(LU, mp.L_solve(LU, rhs.column(j), piv))]
+                 for j in range(2 * s)]
+            ).T[-2 * s:]
+            T = build_cell_map(spec).T
+            scale = np.abs(T_ref).max()
+            assert np.abs(T - T_ref).max() <= 1e-14 * scale
+            assert np.abs(T @ np.ones(2 * s) - 1.0).max() <= 1e-14 * scale
+            checked += 1
+            if checked == 10:
+                break
+        assert checked == 10
 
 
 class TestClassify:
@@ -172,7 +204,7 @@ class TestReconstruct:
         u0 = rng.standard_normal(4)
         from latticebc.cellmap import _interior_extension
 
-        E, _, _ = _interior_extension(spec)
+        E, _, _ = _interior_extension(spec, build_steady_operator(spec))
         full = E @ u0
         assert np.allclose(full[spec.p * 2:], cm.T @ u0, atol=1e-10 * max(1, np.abs(full).max()))
 

@@ -13,6 +13,7 @@ from latticebc import (
     build_Lk,
     build_Lk_exact,
     build_steady_operator,
+    exp_ikh,
     reversed_spec,
     validate_spec,
 )
@@ -198,6 +199,78 @@ class TestSteadyOperator:
     def test_rejects_no_rows(self, uniform_spec):
         with pytest.raises(ValueError):
             build_steady_operator(uniform_spec, rows=0)
+
+
+def _loop_kappa_plus(spec, m, j):
+    p = spec.p
+    return (
+        spec.kappa_long[(m - 1) % p, j]
+        + spec.kappa_long[m % p, j]
+        + spec.kappa_cross[m % p, :, j].sum()
+    )
+
+
+def _loop_periodic(spec, epos, eneg, dtype):
+    """Entry-by-entry cell stiffness: the reference for the stencil."""
+    s, p = spec.s, spec.p
+    n = s * p
+    L = np.zeros((n, n) + np.shape(epos), dtype=dtype)
+    lead = (0,) if np.ndim(epos) else ()
+    for m in range(p):
+        for j in range(s):
+            r = m * s + j
+            L[(r, r) + lead] -= _loop_kappa_plus(spec, m, j)
+            for i in range(s):
+                if i != j:
+                    L[(r, m * s + i) + lead] += spec.kappa_cross[m, i, j]
+            L[r, ((m + 1) % p) * s + j] += spec.kappa_long[m, j] * epos
+            L[r, ((m - 1) % p) * s + j] += spec.kappa_long[(m - 1) % p, j] * eneg
+    return L
+
+
+def _loop_steady(spec, rows):
+    s = spec.s
+    A = np.zeros((s * rows, s * (rows + 2)))
+    for n in range(1, rows + 1):
+        mn = n % spec.p
+        mp = (n - 1) % spec.p
+        for j in range(s):
+            r = (n - 1) * s + j
+            A[r, (n - 1) * s + j] += spec.kappa_long[mp, j]
+            A[r, (n + 1) * s + j] += spec.kappa_long[mn, j]
+            for i in range(s):
+                if i != j:
+                    A[r, n * s + i] += spec.kappa_cross[mn, i, j]
+            A[r, n * s + j] -= _loop_kappa_plus(spec, n, j)
+    return A
+
+
+class TestStencilMatchesLoops:
+    """The vectorised operators equal the entry-by-entry loops bit for bit,
+    including p = 1 and p = 2, where both links of a mass land on one
+    column."""
+
+    def test_operators_bit_identical(self):
+        rng = np.random.default_rng(2016)
+        for s in range(1, 7):
+            for p in range(1, 10):
+                spec = random_spec(rng, s, p, h=float(rng.uniform(0.2, 2.0)))
+                k = float(rng.uniform(0.1, 3.0))
+                epos = exp_ikh(+1, spec.h).as_array()
+                eneg = exp_ikh(-1, spec.h).as_array()
+                assert np.array_equal(build_L0(spec), _loop_periodic(spec, 1.0, 1.0, float))
+                assert np.array_equal(
+                    build_Lk(spec).data, _loop_periodic(spec, epos, eneg, complex)
+                )
+                assert np.array_equal(
+                    build_Lk_exact(spec, k),
+                    _loop_periodic(spec, np.exp(1j * k * spec.h), np.exp(-1j * k * spec.h),
+                                   complex),
+                )
+                for rows in (1, 3, 2 * p + 1):
+                    assert np.array_equal(
+                        build_steady_operator(spec, rows=rows), _loop_steady(spec, rows)
+                    )
 
 
 class TestReversal:
