@@ -11,14 +11,7 @@ from .boundary import (
     left_end_bc,
     right_end_bc,
 )
-from .cellmap import (
-    CellMap,
-    EigenPartition,
-    build_cell_map,
-    classify_trichotomy,
-    jordan_chain,
-    reconstruct_first_cell,
-)
+from .cellmap import CellMap, build_cell_map
 from .errors import (
     ConfigParseError,
     EigenSolveError,
@@ -28,7 +21,6 @@ from .errors import (
     NoRootInBracket,
     NotConverged,
     NullSpaceDimension,
-    SingularInterior,
     SingularSolve,
     SpecValidationError,
     UnexpectedSpectrum,
@@ -40,12 +32,10 @@ from .homogenize import (
     construct_slow_manifold,
     dispersion_eigenvalues,
     dispersion_fit,
-    effective_coefficient,
 )
 from .kpoly import KPoly, KPolyMatrix, exp_ikh
 from .lattice import (
     BCKind,
-    CellIndex,
     LatticeSpec,
     MicroBCSpec,
     build_B,

@@ -19,13 +19,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import boundary, homogenize, validate
+from . import boundary, cellmap, homogenize, validate
 from .errors import ConfigParseError, LatticeError, SpecValidationError
 from .lattice import BCKind, LatticeSpec, MicroBCSpec, validate_spec
 
 TOLERANCE_DEFAULTS = {
     "residual": homogenize.RESIDUAL_TOL,
-    "center_eigenvalue": 1e-6,
+    "center_eigenvalue": cellmap.CENTER_TOL,
     "null_space": boundary.NULL_TOL,
 }
 

@@ -37,14 +37,8 @@ class NotConverged(LatticeError):
     code = "NotConverged"
 
 
-class SingularInterior(LatticeError):
-    """Interior block of the steady operator is not invertible."""
-
-    code = "SingularInterior"
-
-
 class UnexpectedSpectrum(LatticeError):
-    """Cell-map spectrum does not split into (s-1, 2, s-1) real parts."""
+    """Cell-map spectrum does not split (s-1, 2, s-1) about a doubled eigenvalue 1."""
 
     code = "UnexpectedSpectrum"
 

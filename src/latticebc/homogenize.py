@@ -152,11 +152,6 @@ def construct_slow_manifold(
     )
 
 
-def effective_coefficient(sm: SlowManifold) -> float:
-    """c = -(k^2 coefficient of g); positive for any converged manifold."""
-    return -float(sm.g.coeffs[2].real)
-
-
 def closed_form_two_strand(spec: LatticeSpec) -> ClosedFormResult:
     """Closed-form effective density and elasticity, s = p = 2 only.
 

@@ -26,28 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
-from .errors import SpecValidationError
 from .kpoly import KPolyMatrix, exp_ikh
-
-
-class CellIndex(NamedTuple):
-    """Position of a mass within a cell and its flat vector index."""
-
-    m: int
-    j: int
-    flat: int
-
-    @classmethod
-    def from_mj(cls, s: int, m: int, j: int) -> "CellIndex":
-        return cls(m, j, m * s + j)
-
-    @classmethod
-    def from_flat(cls, s: int, flat: int) -> "CellIndex":
-        return cls(flat // s, flat % s, flat)
 
 
 @dataclass(frozen=True)
@@ -171,14 +153,6 @@ def validate_spec(spec: LatticeSpec) -> list:
         if np.any(kc < 0.0):
             v.append(f"negative cross elasticity at column {m}")
     return v
-
-
-def check_spec(spec: LatticeSpec) -> LatticeSpec:
-    """Raise SpecValidationError unless the spec is valid."""
-    violations = validate_spec(spec)
-    if violations:
-        raise SpecValidationError(violations)
-    return spec
 
 
 def column_blocks(spec: LatticeSpec, n: np.ndarray):

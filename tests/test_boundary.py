@@ -15,7 +15,6 @@ from latticebc import (
     left_end_bc,
     right_end_bc,
 )
-from latticebc.cellmap import CellMap
 
 from conftest import make_spec, random_spec
 
@@ -142,16 +141,10 @@ class TestDeriveTwoStrand:
         # inward neighbour swaps v1/v3 components 1 -> 2 in the formulas
         cm = build_cell_map(demo2x2_spec)
         v1, v3, h = cm.stable_vectors[:, 0], cm.generalized_vector, demo2x2_spec.h
-        swapped = CellMap(
-            T=cm.T,
-            eigenvalues=cm.eigenvalues,
-            stable_values=cm.stable_values,
+        swapped = dataclasses.replace(
+            cm,
             stable_vectors=cm.stable_vectors[[0, 2, 1, 3], :],
-            unstable_values=cm.unstable_values,
-            unstable_vectors=cm.unstable_vectors,
-            center_vector=cm.center_vector,
             generalized_vector=cm.generalized_vector[[0, 2, 1, 3]],
-            first_cell_gen=cm.first_cell_gen,
         )
         cauchy = closed_form_bc(BCKind.CAUCHY_LIKE, cm, demo2x2_spec)
         renamed = closed_form_bc(BCKind.DIRICHLET, swapped, demo2x2_spec)

@@ -11,7 +11,6 @@ from latticebc import (
     construct_slow_manifold,
     dispersion_eigenvalues,
     dispersion_fit,
-    effective_coefficient,
 )
 
 from conftest import make_spec, random_spec
@@ -78,7 +77,7 @@ class TestClosedForm:
             spec = random_spec(rng, 2, 2, h=float(rng.uniform(0.2, 2.0)))
             sm = construct_slow_manifold(spec)
             cf = closed_form_two_strand(spec)
-            assert effective_coefficient(sm) == pytest.approx(cf.c, rel=1e-9)
+            assert sm.c == pytest.approx(cf.c, rel=1e-9)
 
 
 class TestDispersion:

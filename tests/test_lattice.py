@@ -17,7 +17,6 @@ from latticebc import (
     reversed_spec,
     validate_spec,
 )
-from latticebc.lattice import CellIndex
 
 from conftest import make_spec, random_spec
 
@@ -63,14 +62,6 @@ class TestValidateSpec:
     def test_nonpositive_density(self):
         spec = make_spec(1, 1, [[1.0]], np.zeros((1, 1, 1)), [[-1.0]])
         assert any("density" in v for v in validate_spec(spec))
-
-
-class TestCellIndex:
-    def test_flat_ordering(self):
-        idx = CellIndex.from_mj(3, 2, 1)
-        assert idx.flat == 7
-        back = CellIndex.from_flat(3, 7)
-        assert (back.m, back.j) == (2, 1)
 
 
 class TestMassMatrix:
