@@ -39,6 +39,10 @@ from .lattice import LatticeSpec, build_steady_operator
 # silently absorbed.
 CENTER_TOL = 1e-6
 _IMAG_TOL = 1e-7
+# QZ leaves an absolute error of ~eps on each eigenvalue, so a decaying
+# value below this floor has no resolvable sign or phase and is not
+# judged for realness.
+_REAL_FLOOR = 1e3 * np.finfo(float).eps
 
 
 @dataclass
@@ -145,6 +149,10 @@ def build_cell_map(spec: LatticeSpec, center_tol: float = CENTER_TOL) -> CellMap
     gen = C @ np.concatenate([w, w + 1.0])
 
     unstable = 1.0 / stable[::-1]
+    # Realness is judged relative to |mu| (decaying values can lie far
+    # below any absolute imaginary-part floor and still be genuinely
+    # complex), on the values above _REAL_FLOOR only.
+    judged = stable[np.abs(stable) > _REAL_FLOOR]
     return CellMap(
         spec=spec,
         eigenvalues=np.concatenate([stable, mu[s - 1: s + 1], unstable]),
@@ -154,10 +162,8 @@ def build_cell_map(spec: LatticeSpec, center_tol: float = CENTER_TOL) -> CellMap
         center_vector=np.ones(2 * s),
         generalized_vector=gen[: 2 * s],
         first_cell_gen=gen[: p * s],
-        # judged relative to |mu|: decaying values can lie far below any
-        # absolute floor and still be genuinely complex
         spectrum_all_real=bool(
-            np.all(np.abs(stable.imag) <= _IMAG_TOL * np.abs(stable))
-            and np.all(stable.real > 0.0)
+            np.all(np.abs(judged.imag) <= _IMAG_TOL * np.abs(judged))
+            and np.all(judged.real > 0.0)
         ),
     )

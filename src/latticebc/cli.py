@@ -343,6 +343,7 @@ def cmd_validate(cfg: RunConfig) -> dict:
         "window": list(comp.window),
         "d0_over_h": bc0.d / spec.h,
         "dL_over_h": bcL.d / spec.h,
+        "diagnostics": {"micro_residual": comp.micro_residual},
     }
 
 

@@ -68,6 +68,6 @@ class NoRootInBracket(LatticeError):
 
 
 class EigenSolveError(LatticeError):
-    """Dense (generalized) eigensolver failed."""
+    """The microscale eigensolve (banded Cholesky or ARPACK) failed."""
 
     code = "EigenSolveError"

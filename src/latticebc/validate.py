@@ -19,11 +19,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 import scipy.sparse.linalg
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg.blas import dsbmv
+from scipy.sparse.linalg import LinearOperator
 
 from .boundary import MacroBC, MacroBCKind
-from .errors import EigenSolveError, KindUnsupported, NoRootInBracket
+from .errors import EigenSolveError, KindUnsupported, NoRootInBracket, SpecValidationError
 from .homogenize import SlowManifold
 from .lattice import LatticeSpec, build_B, build_L0, column_blocks
 
@@ -51,6 +53,7 @@ class ModeComparison:
     interior_error_robin: float
     interior_error_dirichlet: float
     window: tuple                 # inclusive column range used for errors
+    micro_residual: float         # relative eigenpair residual of the micro mode
 
 
 @dataclass
@@ -77,29 +80,27 @@ class SpectrumReport:
 
 
 def _interior_system(spec: LatticeSpec):
-    """Clamped stiffness and mass diagonal over masses n = 1..N-1.
+    """Mass-scaled clamped stiffness over masses n = 1..N-1, as a band.
 
-    The stiffness is block-tridiagonal in the column index, assembled
-    from the column_blocks stencil as a sparse CSC matrix.
+    K = -S is block-tridiagonal in the column index, so with the masses
+    ordered column by column it has bandwidth s.  Returns (band, mass):
+    band (s+1, s(N-1)) is the lower band of K~ = M^-1/2 K M^-1/2 in LAPACK
+    storage, band[d, i] = K~[i+d, i], built from the column_blocks
+    stencil; mass is the diagonal of M.
     """
     s, N = spec.s, spec.N
-    size = s * (N - 1)
     n = np.arange(1, N)
     mass = spec.h ** 2 * spec.rho[n % spec.p].ravel()
     _, onsite, right = column_blocks(spec, n)
-    strands = np.arange(s)
-
-    base = (np.arange(N - 1) * s)[:, None, None]
-    rows = np.broadcast_to(base + strands[None, :, None], onsite.shape).ravel()
-    cols = np.broadcast_to(base + strands[None, None, :], onsite.shape).ravel()
-    link_rows = np.arange(size - s)
-    link = right[:-1].ravel()   # column n to n+1, n = 1..N-2
-    rows = np.concatenate([rows, link_rows, link_rows + s])
-    cols = np.concatenate([cols, link_rows + s, link_rows])
-    vals = np.concatenate([onsite.ravel(), link, link])
-    keep = vals != 0.0
-    S = scipy.sparse.csc_array((vals[keep], (rows[keep], cols[keep])), shape=(size, size))
-    return S, mass
+    band = np.zeros((s + 1, N - 1, s))
+    i, j = np.tril_indices(s)
+    band[i - j, :, j] = -onsite[:, i, j].T
+    band[s, :-1] = -right[:-1]   # column n to n+1, n = 1..N-2
+    band = band.reshape(s + 1, -1)
+    scale = 1.0 / np.sqrt(mass)
+    padded = np.concatenate([scale, np.zeros(s)])
+    band *= scale * sliding_window_view(padded, mass.size)
+    return band, mass
 
 
 def microscale_slowest_mode(spec: LatticeSpec):
@@ -108,27 +109,49 @@ def microscale_slowest_mode(spec: LatticeSpec):
     K = -S is symmetric positive definite for a valid spec (positive
     longitudinal springs, both ends clamped), so the slowest mode is the
     eigenvalue nearest zero: shift-invert at sigma = 0 finds it alone.
-    K has non-positive off-diagonals, so its lowest eigenvector can be
-    taken non-negative and the all-ones start vector always overlaps it.
+    It runs in standard mode on K~ = M^-1/2 K M^-1/2, which has the same
+    eigenvalues, with one banded Cholesky factor of K~ as the inverse;
+    the vector maps back by w = M^-1/2 v~.  K~ keeps the non-positive
+    off-diagonals of K, so its lowest eigenvector can be taken
+    non-negative and the positive start vector sqrt(mass) always
+    overlaps it.
 
-    Returns (lambda, w) with w of shape (N+1, s), zero at n = 0 and N.
+    Returns (lambda, w, residual): w of shape (N+1, s), zero at n = 0
+    and N, and the relative eigenpair residual
+    ||Kw - lambda Mw|| / (||Kw|| + |lambda| ||Mw||).
     """
     if spec.N < 2:
         raise ValueError(f"need N >= 2 intervals, got {spec.N}")
-    S, mass = _interior_system(spec)
+    band, mass = _interior_system(spec)
     size = mass.size
+    root = np.sqrt(mass)
+
+    def apply(v):
+        return dsbmv(spec.s, 1.0, band, v, lower=1)
+
     try:
         if size <= 2:  # ARPACK needs k < n
-            lam, vecs = scipy.linalg.eigh(-S.toarray(), np.diag(mass), subset_by_index=[0, 0])
+            lam, vecs = scipy.linalg.eig_banded(band, lower=True, select="i", select_range=(0, 0))
         else:
+            factor = (scipy.linalg.cholesky_banded(band, lower=True, check_finite=False), True)
+
+            def solve(v):
+                return scipy.linalg.cho_solve_banded(factor, v, check_finite=False)
+
             lam, vecs = scipy.sparse.linalg.eigsh(
-                -S, k=1, M=scipy.sparse.diags(mass), sigma=0, v0=np.ones(size)
+                LinearOperator((size, size), matvec=apply, dtype=float),
+                k=1, sigma=0, v0=root,
+                OPinv=LinearOperator((size, size), matvec=solve, dtype=float),
             )
     except (RuntimeError, np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
         raise EigenSolveError(f"microscale eigensolve failed: {exc}") from exc
+    lam, v = float(lam[0]), vecs[:, 0]
+    # Kw = M^1/2 K~ v~ and Mw = M^1/2 v~
+    Kw, Mw = root * apply(v), root * v
+    residual = np.linalg.norm(Kw - lam * Mw) / (np.linalg.norm(Kw) + abs(lam) * np.linalg.norm(Mw))
     w = np.zeros((spec.N + 1, spec.s))
-    w[1: spec.N, :] = vecs[:, 0].reshape(spec.N - 1, spec.s)
-    return float(lam[0]), w
+    w[1: spec.N, :] = (v / root).reshape(spec.N - 1, spec.s)
+    return lam, w, float(residual)
 
 
 def _bc_coefficients(bc: MacroBC):
@@ -189,9 +212,17 @@ def _unit_max(v: np.ndarray) -> np.ndarray:
 
 
 def compare_modes(spec: LatticeSpec, sm: SlowManifold, bc0: MacroBC, bcL: MacroBC) -> ModeComparison:
-    """Slowest-mode comparison; interior window excludes one cell per end."""
+    """Slowest-mode comparison; interior window excludes one cell per end.
+
+    Raises SpecValidationError when N < 2p leaves no interior window.
+    """
     N, h, p = spec.N, spec.h, spec.p
-    lam_mic, w = microscale_slowest_mode(spec)
+    lo, hi = p, N - p
+    if lo > hi:
+        raise SpecValidationError(
+            [f"interval count N = {N} is below 2p = {2 * p}: no interior window to validate on"]
+        )
+    lam_mic, w, residual = microscale_slowest_mode(spec)
     avg = w.mean(axis=1)
     # Deterministic orientation: largest-magnitude average positive.
     if avg[np.argmax(np.abs(avg))] < 0:
@@ -209,9 +240,6 @@ def compare_modes(spec: LatticeSpec, sm: SlowManifold, bc0: MacroBC, bcL: MacroB
         c, L, dirich, MacroBC(MacroBCKind.ROBIN, "right", 0.0, None, ()), x
     )
 
-    lo, hi = p, N - p
-    if lo > hi:
-        raise ValueError(f"interior window empty: N = {N} too small for p = {p}")
     win = slice(lo, hi + 1)
 
     def align_and_error(mode):
@@ -237,6 +265,7 @@ def compare_modes(spec: LatticeSpec, sm: SlowManifold, bc0: MacroBC, bcL: MacroB
         interior_error_robin=err_rob,
         interior_error_dirichlet=err_dir,
         window=(lo, hi),
+        micro_residual=residual,
     )
 
 

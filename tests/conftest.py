@@ -38,6 +38,23 @@ def random_spec(rng, s, p, lo=0.1, hi=10.0, h=1.0, N=None):
                        rho=rng.uniform(lo, hi, (p, s)))
 
 
+def clamped_dense(spec):
+    """Dense clamped stiffness K and mass diagonal from validate's band.
+
+    The band holds the lower triangle of M^-1/2 K M^-1/2; this undoes the
+    scaling and fills both triangles.
+    """
+    from latticebc.validate import _interior_system
+
+    band, mass = _interior_system(spec)
+    n = mass.size
+    scaled = np.diag(band[0])
+    for d in range(1, band.shape[0]):
+        scaled += np.diag(band[d, : n - d], -d) + np.diag(band[d, : n - d], d)
+    root = np.sqrt(mass)
+    return root[:, None] * scaled * root[None, :], mass
+
+
 @pytest.fixture
 def uniform_spec():
     """Single-strand single-column homogeneous chain."""

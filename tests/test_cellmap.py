@@ -10,7 +10,7 @@ from latticebc import (
     left_end_bc,
     reversed_spec,
 )
-from latticebc.cellmap import CENTER_TOL, _boundary_reduction
+from latticebc.cellmap import _REAL_FLOOR, CENTER_TOL, _boundary_reduction
 from latticebc.lattice import MicroBCSpec
 
 from conftest import make_spec, random_spec
@@ -199,6 +199,15 @@ class TestBuildMap:
             mu_ref = _reference_cell_map(specs[i], mp)[0]
             assert np.max(np.abs(mu_ref.imag) / np.abs(mu_ref)) > 0.05
             assert build_cell_map(specs[i]).spectrum_all_real is False
+
+    def test_realness_ignores_values_below_rounding(self):
+        # The (5,150) cell of test_defective_pair_judged_by_its_mean has a
+        # decaying value of about -8e-18, below QZ's absolute resolution:
+        # its sign is noise and must not decide the verdict.
+        cm = build_cell_map(random_spec(np.random.default_rng(0), 5, 150))
+        tiny = cm.stable_values[np.abs(cm.stable_values) <= _REAL_FLOOR]
+        assert tiny.size and np.any(tiny.real < 0.0)
+        assert cm.spectrum_all_real is True
 
 
 class TestStructure:

@@ -148,6 +148,8 @@ class TestCommands:
         cfg = config_from_dict(preset_config("demo-2x2"), {"out": tmp_path})
         report = cmd_validate(cfg)
         assert report["interior_error_robin"] < report["interior_error_dirichlet"]
+        assert list(report)[-1] == "diagnostics"
+        assert report["diagnostics"]["micro_residual"] < 1e-12
         lines = (tmp_path / "modes.csv").read_text().splitlines()
         assert lines[0] == "n,x,micro_avg,macro_robin,macro_dirichlet"
         assert len(lines) == cfg.spec.N + 2
@@ -229,6 +231,15 @@ class TestMainEntry:
         rc = main(["spectrum", "--config", str(path)])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ValidationError:")
+
+    def test_validate_domain_too_short(self, tmp_path, capsys):
+        # demo-2x2 has p = 2, so N = 3 leaves no interior window
+        rc = main(["validate", "--preset", "demo-2x2", "--N", "3", "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: ValidationError:")
+        assert "N = 3" in err and "2p = 4" in err
 
     def test_tolerance_flag(self, tmp_path, capsys):
         rc = main([

@@ -3,7 +3,6 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse
 import scipy.sparse.linalg
 
 from latticebc import (
@@ -18,7 +17,7 @@ from latticebc import (
     right_end_bc,
     spectrum_checks,
 )
-from conftest import make_spec, random_spec
+from conftest import clamped_dense, make_spec, random_spec
 
 
 def robin(d, side="left"):
@@ -48,22 +47,20 @@ def fd_robin_eigenvalue(c, L, d0, dL, npts=2048):
 class TestMicroscale:
     def test_uniform_chain_all_eigenvalues(self):
         spec = make_spec(1, 1, [[1.0]], np.zeros((1, 1, 1)), [[1.0]], N=8)
-        from latticebc.validate import _interior_system
-
-        S, mass = _interior_system(spec)
-        lam = scipy.linalg.eigh(-S.toarray(), np.diag(mass), eigvals_only=True)
+        K, mass = clamped_dense(spec)
+        lam = scipy.linalg.eigh(K, np.diag(mass), eigvals_only=True)
         expected = np.sort([2.0 * (1 - np.cos(np.pi * m / 8)) for m in range(1, 8)])
         assert np.allclose(lam, expected, rtol=1e-10)
 
     def test_uniform_slowest_value(self):
         spec = make_spec(1, 1, [[1.0]], np.zeros((1, 1, 1)), [[1.0]], N=8)
-        lam, w = microscale_slowest_mode(spec)
+        lam, w, _ = microscale_slowest_mode(spec)
         assert lam == pytest.approx(2.0 * (1 - np.cos(np.pi / 8)), rel=1e-12)
         assert w[0, 0] == 0.0 and w[8, 0] == 0.0
 
     def test_uniform_mode_shape(self):
         spec = make_spec(1, 1, [[1.0]], np.zeros((1, 1, 1)), [[1.0]], N=8)
-        _, w = microscale_slowest_mode(spec)
+        _, w, _ = microscale_slowest_mode(spec)
         shape = w[:, 0]
         ref = np.sin(np.pi * np.arange(9) / 8)
         scale = shape[4] / ref[4]
@@ -72,11 +69,32 @@ class TestMicroscale:
 
 def dense_slowest(spec):
     """Reference: every eigenpair of the clamped system, densely."""
-    from latticebc.validate import _interior_system
-
-    S, mass = _interior_system(spec)
-    lam, vecs = scipy.linalg.eigh(-S.toarray(), np.diag(mass))
+    K, mass = clamped_dense(spec)
+    lam, vecs = scipy.linalg.eigh(K, np.diag(mass))
     return lam[0], vecs[:, 0].reshape(spec.N - 1, spec.s)
+
+
+def loop_stiffness(spec):
+    """Clamped stiffness K = -S over masses n = 1..N-1, spring by spring."""
+    s, p, N = spec.s, spec.p, spec.N
+    K = np.zeros((s * (N - 1), s * (N - 1)))
+
+    def add_spring(n1, j1, n2, j2, kappa):
+        # clamped masses n = 0 and N carry no unknown
+        ends = [(n - 1) * s + j for n, j in ((n1, j1), (n2, j2)) if 0 < n < N]
+        for a in ends:
+            K[a, a] += kappa
+        if len(ends) == 2:
+            a, b = ends
+            K[a, b] -= kappa
+            K[b, a] -= kappa
+
+    for n in range(N):
+        for j in range(s):
+            add_spring(n, j, n + 1, j, spec.kappa_long[n % p, j])
+            for i in range(j + 1, s):
+                add_spring(n, i, n, j, spec.kappa_cross[n % p, i, j])
+    return K
 
 
 def unit_avg(w):
@@ -88,18 +106,49 @@ class TestSparseEigensolve:
     def test_assembly_is_sparse(self, demo2x2_spec):
         from latticebc.validate import _interior_system
 
-        S, mass = _interior_system(demo2x2_spec)
-        assert scipy.sparse.issparse(S) and S.format == "csc"
-        assert S.shape == (30, 30) and mass.shape == (30,)
+        band, mass = _interior_system(demo2x2_spec)
+        assert band.shape == (3, 30) and mass.shape == (30,)
+        K, _ = clamped_dense(demo2x2_spec)
         # two strands: 2 diagonal + 2 cross entries per column, 2 links per step
-        assert S.nnz == 15 * 4 + 14 * 4
+        assert np.count_nonzero(K) == 15 * 4 + 14 * 4
+
+    def test_band_matches_spring_loop(self):
+        rng = np.random.default_rng(77)
+        for s in range(1, 7):
+            for p in range(1, 10):
+                spec = random_spec(rng, s, p, N=int(rng.integers(2, 3 * p + 4)))
+                K, mass = clamped_dense(spec)
+                ref = loop_stiffness(spec)
+                assert np.max(np.abs(K - ref)) <= 1e-15 * np.max(np.abs(ref))
+                n = np.arange(1, spec.N)
+                assert np.array_equal(mass, spec.h ** 2 * spec.rho[n % p].ravel())
+
+    def test_weakly_coupled_strands(self):
+        # three strands differing by 1e-3 and joined by 1e-9 springs: their
+        # slowest modes form a cluster ~1e-4 wide that shift-invert must
+        # resolve
+        s, p, N = 3, 2, 200
+        cross = np.full((p, s, s), 1e-9)
+        cross[:, np.arange(s), np.arange(s)] = 0.0
+        kl = np.array([[1.0, 1.001, 1.002], [0.9, 0.901, 0.899]])
+        rho = np.array([[1.0, 1.001, 0.999], [1.0, 0.999, 1.002]])
+        spec = make_spec(s, p, kl, cross, rho, N=N)
+        lam, w, residual = microscale_slowest_mode(spec)
+        K = loop_stiffness(spec)
+        mass = spec.h ** 2 * spec.rho[np.arange(1, N) % p].ravel()
+        lam_ref = scipy.linalg.eigh(K, np.diag(mass), eigvals_only=True, subset_by_index=[0, 0])[0]
+        assert lam == pytest.approx(lam_ref, rel=1e-9)
+        v = w[1:-1].ravel()
+        Kw, Mw = K @ v, mass * v
+        assert np.linalg.norm(Kw - lam * Mw) / (np.linalg.norm(Kw) + lam * np.linalg.norm(Mw)) <= 1e-10
+        assert residual <= 1e-10
 
     def test_agrees_with_dense_on_random_lattices(self):
         rng = np.random.default_rng(2024)
         for _ in range(50):
             s, p = int(rng.integers(1, 7)), int(rng.integers(1, 9))
             spec = random_spec(rng, s, p, N=int(rng.integers(2, 61)))
-            lam, w = microscale_slowest_mode(spec)
+            lam, w, _ = microscale_slowest_mode(spec)
             lam_ref, w_ref = dense_slowest(spec)
             assert lam == pytest.approx(lam_ref, rel=1e-9)
             a, b = unit_avg(w[1:-1]), unit_avg(w_ref)
@@ -109,7 +158,7 @@ class TestSparseEigensolve:
     @pytest.mark.parametrize("s,N", [(1, 2), (2, 2), (1, 3)])
     def test_tiny_systems(self, s, N):
         spec = random_spec(np.random.default_rng(s * 10 + N), s, 2, N=N)
-        lam, w = microscale_slowest_mode(spec)
+        lam, w, _ = microscale_slowest_mode(spec)
         lam_ref, w_ref = dense_slowest(spec)
         assert lam == pytest.approx(lam_ref, rel=1e-12)
         assert w.shape == (N + 1, s)
@@ -122,7 +171,7 @@ class TestSparseEigensolve:
         cross = np.full((1, s, s), 0.9)
         cross[0][np.diag_indices(s)] = 0.0
         spec = make_spec(s, 1, np.full((1, s), kappa), cross, np.full((1, s), rho), h=h, N=N)
-        lam, w = microscale_slowest_mode(spec)
+        lam, w, _ = microscale_slowest_mode(spec)
         expected = 2 * kappa / (rho * h * h) * (1 - np.cos(np.pi / N))
         assert lam == pytest.approx(expected, rel=1e-9)
         ref = np.sin(np.pi * np.arange(N + 1) / N)
@@ -139,6 +188,16 @@ class TestSparseEigensolve:
             raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((30, 0)))
 
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
+        with pytest.raises(EigenSolveError):
+            microscale_slowest_mode(demo2x2_spec)
+
+    def test_cholesky_failure_is_typed(self, demo2x2_spec, monkeypatch):
+        from latticebc.errors import EigenSolveError
+
+        def fail(*args, **kwargs):
+            raise scipy.linalg.LinAlgError("3-th leading minor not positive definite")
+
+        monkeypatch.setattr(scipy.linalg, "cholesky_banded", fail)
         with pytest.raises(EigenSolveError):
             microscale_slowest_mode(demo2x2_spec)
 
