@@ -33,7 +33,6 @@ from .homogenize import (
     dispersion_eigenvalues,
     dispersion_fit,
 )
-from .kpoly import KPoly, KPolyMatrix, exp_ikh
 from .lattice import (
     BCKind,
     LatticeSpec,

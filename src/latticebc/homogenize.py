@@ -33,7 +33,6 @@ import numpy as np
 import scipy.linalg
 
 from .errors import EigenSolveError, KindUnsupported, NotConverged, SingularSolve
-from .kpoly import KPoly
 from .lattice import LatticeSpec, build_B, build_L0, build_Lk, build_Lk_exact
 
 RESIDUAL_TOL = 1e-12
@@ -43,10 +42,10 @@ RESIDUAL_TOL = 1e-12
 class SlowManifold:
     """Converged shape and evolution of the macroscale model."""
 
-    a: tuple                  # s*p KPoly shape entries, a = 1 + i k alpha + k^2 beta
+    a: np.ndarray             # (s*p, 3) k-coefficients of a = 1 + i k alpha + k^2 beta
     alpha: np.ndarray
     beta: np.ndarray
-    g: KPoly                  # dV/dt = g(k) * U
+    g: np.ndarray             # (3,) k-coefficients of g in dV/dt = g(k) * U
     c: float                  # effective coefficient, c = -g_2 > 0
     iterations: int
     residual_norm: float
@@ -75,7 +74,9 @@ def construct_slow_manifold(
     n = spec.n_cell
     Bdiag = np.diag(build_B(spec))
     Lk = build_Lk(spec)
-    Lc = [Lk.coefficient_matrix(d) for d in range(3)]
+    # Contiguous copies: a strided slice would send `@` down a different
+    # summation order and move results at the 1e-15 level.
+    Lc = [Lk[:, :, d].copy() for d in range(3)]
     L0 = Lc[0].real
     # ||L_0|| is the stiffness scale of the residual certificate; the
     # single-mass cell has L_0 = 0, so fall back to the k-coefficients.
@@ -140,12 +141,11 @@ def construct_slow_manifold(
     c = -float(g[2].real)
     if not c > 0:
         raise NotConverged(f"effective coefficient must be positive, got {c}")
-    shape = tuple(KPoly(tuple(row)) for row in a)
     return SlowManifold(
-        a=shape,
+        a=a,
         alpha=alpha,
         beta=beta,
-        g=KPoly(tuple(g)),
+        g=g,
         c=c,
         iterations=iterations,
         residual_norm=res_norm,

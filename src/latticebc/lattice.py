@@ -29,8 +29,6 @@ from enum import Enum
 
 import numpy as np
 
-from .kpoly import KPolyMatrix, exp_ikh
-
 
 @dataclass(frozen=True)
 class LatticeSpec:
@@ -63,16 +61,6 @@ class LatticeSpec:
     def n_cell(self) -> int:
         """Number of masses in one cell."""
         return self.s * self.p
-
-    def flat(self, m: int, j: int) -> int:
-        return (m % self.p) * self.s + j
-
-    def is_connected(self) -> bool:
-        """True when every pair of strands is linked at every column."""
-        if self.s == 1:
-            return True
-        off = self.kappa_cross[:, ~np.eye(self.s, dtype=bool)]
-        return bool(np.all(off > 0.0))
 
 
 class BCKind(str, Enum):
@@ -204,14 +192,19 @@ def build_L0(spec: LatticeSpec) -> np.ndarray:
     return _periodic_operator(spec, 1.0, 1.0, float)
 
 
-def build_Lk(spec: LatticeSpec) -> KPolyMatrix:
+def build_Lk(spec: LatticeSpec) -> np.ndarray:
     """Fourier-space stiffness with exponentials truncated at order k^2.
 
-    Hermitian when evaluated at real k; the k^0 part equals build_L0.
+    Returns the (s*p, s*p, 3) complex array whose [:, :, d] slice is the
+    k^d coefficient matrix.  The links carry exp(+-ikh) truncated to
+    1 +- ihk - h^2 k^2 / 2.  Hermitian when evaluated at real k; the k^0
+    part equals build_L0.
     """
-    epos = exp_ikh(+1, spec.h).as_array()
-    eneg = exp_ikh(-1, spec.h).as_array()
-    return KPolyMatrix(_periodic_operator(spec, epos, eneg, complex))
+    h = spec.h
+    if not h > 0:
+        raise ValueError(f"spacing h must be positive, got {h}")
+    epos = np.array([1.0, 1j * h, -0.5 * h * h])
+    return _periodic_operator(spec, epos, epos.conj(), complex)
 
 
 def build_Lk_exact(spec: LatticeSpec, k: float) -> np.ndarray:

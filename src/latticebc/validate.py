@@ -214,13 +214,15 @@ def _unit_max(v: np.ndarray) -> np.ndarray:
 def compare_modes(spec: LatticeSpec, sm: SlowManifold, bc0: MacroBC, bcL: MacroBC) -> ModeComparison:
     """Slowest-mode comparison; interior window excludes one cell per end.
 
-    Raises SpecValidationError when N < 2p leaves no interior window.
+    Raises SpecValidationError unless N > 2p: a window of one column
+    would compare a single point and report an error of exactly 0.
     """
     N, h, p = spec.N, spec.h, spec.p
     lo, hi = p, N - p
-    if lo > hi:
+    if hi - lo < 1:
         raise SpecValidationError(
-            [f"interval count N = {N} is below 2p = {2 * p}: no interior window to validate on"]
+            [f"interval count N = {N} must exceed 2p = {2 * p}: "
+             "the interior window needs at least two columns"]
         )
     lam_mic, w, residual = microscale_slowest_mode(spec)
     avg = w.mean(axis=1)

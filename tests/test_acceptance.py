@@ -320,10 +320,10 @@ def test_criterion_7_residual_certificates():
             scale = 1.0
         worst_res = max(worst_res, sm.residual_norm / scale)
         worst_mean = max(worst_mean, abs(sm.alpha.mean()), abs(sm.beta.mean()))
-        worst_g = max(worst_g, abs(sm.g.coeffs[0]), abs(sm.g.coeffs[1]))
+        worst_g = max(worst_g, abs(sm.g[0]), abs(sm.g[1]))
         assert sm.residual_norm < 1e-12 * scale
         assert abs(sm.alpha.mean()) < 1e-12 and abs(sm.beta.mean()) < 1e-12
-        assert abs(sm.g.coeffs[0]) < 1e-12 and abs(sm.g.coeffs[1]) < 1e-12
+        assert abs(sm.g[0]) < 1e-12 and abs(sm.g[1]) < 1e-12
     elapsed = time.perf_counter() - t0
     print(f"criterion 7: PASS residual certificates, {len(all_specs)} specs, "
           f"worst residual {worst_res:.1e}, worst mean {worst_mean:.1e}, "

@@ -232,14 +232,16 @@ class TestMainEntry:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ValidationError:")
 
-    def test_validate_domain_too_short(self, tmp_path, capsys):
-        # demo-2x2 has p = 2, so N = 3 leaves no interior window
-        rc = main(["validate", "--preset", "demo-2x2", "--N", "3", "--out", str(tmp_path)])
+    @pytest.mark.parametrize("N", [3, 4])
+    def test_validate_domain_too_short(self, tmp_path, capsys, N):
+        # demo-2x2 has p = 2: N = 3 leaves no interior window, and N = 4
+        # a single column, on which both interior errors are trivially 0
+        rc = main(["validate", "--preset", "demo-2x2", "--N", str(N), "--out", str(tmp_path)])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("error: ValidationError:")
-        assert "N = 3" in err and "2p = 4" in err
+        assert f"N = {N}" in err and "2p = 4" in err
 
     def test_tolerance_flag(self, tmp_path, capsys):
         rc = main([

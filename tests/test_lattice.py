@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latticebc import (
-    KPoly,
     LatticeSpec,
     MicroBCSpec,
     build_B,
@@ -13,7 +14,6 @@ from latticebc import (
     build_Lk,
     build_Lk_exact,
     build_steady_operator,
-    exp_ikh,
     reversed_spec,
     validate_spec,
 )
@@ -102,29 +102,34 @@ class TestL0:
         assert lam.min() > -1e-10 * max(1.0, np.linalg.norm(L0))
 
 
+def horner(M, k):
+    """Evaluate a (..., 3) array of k-coefficients at wavenumber k."""
+    return (M[..., 2] * k + M[..., 1]) * k + M[..., 0]
+
+
 class TestLk:
     def test_uniform_entry(self, uniform_spec):
         M = build_Lk(uniform_spec)
-        assert M.entry(0, 0).coeffs == (0.0, 0.0, -1.0)
+        assert tuple(M[0, 0]) == (0.0, 0.0, -1.0)
 
     def test_uniform_apply_ones(self, uniform_spec):
-        out = build_Lk(uniform_spec).apply([KPoly.one()])
-        assert out[0].coeffs == (0.0, 0.0, -1.0)
+        out = build_Lk(uniform_spec).sum(axis=1)
+        assert tuple(out[0]) == (0.0, 0.0, -1.0)
 
     def test_two_step_constant_part(self, two_step_spec):
         M = build_Lk(two_step_spec)
-        assert np.allclose(M.coefficient_matrix(0).real, [[-4.0, 4.0], [4.0, -4.0]])
+        assert np.allclose(M[:, :, 0].real, [[-4.0, 4.0], [4.0, -4.0]])
 
     @given(spec_strategy())
     @settings(max_examples=25, deadline=None)
     def test_constant_part_is_L0(self, spec):
         M = build_Lk(spec)
-        assert np.allclose(M.coefficient_matrix(0), build_L0(spec), atol=1e-14)
+        assert np.allclose(M[:, :, 0], build_L0(spec), atol=1e-14)
 
     @given(spec_strategy())
     @settings(max_examples=25, deadline=None)
     def test_hermitian_at_real_k(self, spec):
-        at = build_Lk(spec).eval(0.37 / (spec.p * spec.h))
+        at = horner(build_Lk(spec), 0.37 / (spec.p * spec.h))
         assert np.max(np.abs(at - at.conj().T)) < 1e-12 * max(1.0, np.max(np.abs(at)))
 
     @given(spec_strategy())
@@ -135,10 +140,15 @@ class TestLk:
         k1, k2 = 1e-3 / (spec.p * spec.h), 2e-3 / (spec.p * spec.h)
 
         def diff(k):
-            return np.max(np.abs(build_Lk(spec).eval(k) - build_Lk_exact(spec, k)))
+            return np.max(np.abs(horner(build_Lk(spec), k) - build_Lk_exact(spec, k)))
 
         c_fit = diff(k2) / k2 ** 3
         assert diff(k1) <= 1.05 * max(c_fit, 1e-9) * k1 ** 3 + 1e-15
+
+    def test_rejects_nonpositive_spacing(self, uniform_spec):
+        for h in (0.0, -1.0):
+            with pytest.raises(ValueError, match="spacing h must be positive"):
+                build_Lk(dataclasses.replace(uniform_spec, h=h))
 
     def test_exact_hermitian(self, demo2x2_spec):
         L = build_Lk_exact(demo2x2_spec, 0.7)
@@ -247,12 +257,11 @@ class TestStencilMatchesLoops:
             for p in range(1, 10):
                 spec = random_spec(rng, s, p, h=float(rng.uniform(0.2, 2.0)))
                 k = float(rng.uniform(0.1, 3.0))
-                epos = exp_ikh(+1, spec.h).as_array()
-                eneg = exp_ikh(-1, spec.h).as_array()
+                h = spec.h
+                epos = np.array([1.0, 1j * h, -0.5 * h * h])
+                eneg = np.array([1.0, -1j * h, -0.5 * h * h])
                 assert np.array_equal(build_L0(spec), _loop_periodic(spec, 1.0, 1.0, float))
-                assert np.array_equal(
-                    build_Lk(spec).data, _loop_periodic(spec, epos, eneg, complex)
-                )
+                assert np.array_equal(build_Lk(spec), _loop_periodic(spec, epos, eneg, complex))
                 assert np.array_equal(
                     build_Lk_exact(spec, k),
                     _loop_periodic(spec, np.exp(1j * k * spec.h), np.exp(-1j * k * spec.h),
