@@ -232,10 +232,17 @@ class TestMainEntry:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ValidationError:")
 
-    @pytest.mark.parametrize("N", [3, 4])
-    def test_validate_domain_too_short(self, tmp_path, capsys, N):
-        # demo-2x2 has p = 2: N = 3 leaves no interior window, and N = 4
-        # a single column, on which both interior errors are trivially 0
+    def test_validate_domain_too_short(self, tmp_path, capsys):
+        # demo-2x2 has p = 2, so N = 3 leaves no interior window
+        self._assert_window_rejected(tmp_path, capsys, 3)
+
+    def test_validate_domain_one_column(self, tmp_path, capsys):
+        # N = 2p = 4 leaves a single column, on which both interior errors
+        # are trivially 0
+        self._assert_window_rejected(tmp_path, capsys, 4)
+
+    @staticmethod
+    def _assert_window_rejected(tmp_path, capsys, N):
         rc = main(["validate", "--preset", "demo-2x2", "--N", str(N), "--out", str(tmp_path)])
         assert rc == 1
         err = capsys.readouterr().err
