@@ -26,9 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dggev
 
-from .errors import NoJordanChain, UnexpectedSpectrum
+from .errors import EigenSolveError, NoJordanChain, SpecValidationError, UnexpectedSpectrum
 from .lattice import LatticeSpec, build_steady_operator
 
 # The doubled eigenvalue 1 is defective: rounding splits it by
@@ -93,6 +93,9 @@ def _boundary_reduction(spec: LatticeSpec):
     """
     s, p = spec.s, spec.p
     A = build_steady_operator(spec, rows=p)
+    # Neither the solve below nor the QZ checks its input.
+    if not np.isfinite(A).all():
+        raise SpecValidationError(["non-finite elasticity"])
     n = (p - 1) * s
     C = np.zeros(((p + 1) * s, 2 * s))
     C[:s, :s] = np.eye(s)
@@ -107,6 +110,22 @@ def _boundary_reduction(spec: LatticeSpec):
     return C, EF[:, :s], EF[:, s:] + FG[:, :s], FG[:, s:]
 
 
+def _linearisation(E, F, G):
+    """Pencil (L, M) of E + mu F + mu^2 G in z = (v, mu v).
+
+    Growing modes that overflow become infinite eigenvalues (beta = 0);
+    the kept columns stay finite.
+    """
+    s = E.shape[0]
+    L = np.zeros((2 * s, 2 * s))
+    L[:s, s:] = np.eye(s)
+    L[s:, :s] = -E
+    L[s:, s:] = -F
+    M = np.eye(2 * s)
+    M[s:, s:] = G
+    return L, M
+
+
 def build_cell_map(spec: LatticeSpec, center_tol: float = CENTER_TOL) -> CellMap:
     """Solve the cell-boundary quadratic and classify its eigen-structure.
 
@@ -117,14 +136,14 @@ def build_cell_map(spec: LatticeSpec, center_tol: float = CENTER_TOL) -> CellMap
     """
     s, p = spec.s, spec.p
     C, E, F, G = _boundary_reduction(spec)
-    # Linearisation in z = (v, mu v); the kept columns stay finite.
-    L = np.zeros((2 * s, 2 * s))
-    L[:s, s:] = np.eye(s)
-    L[s:, :s] = -E
-    L[s:, s:] = -F
-    M = np.eye(2 * s)
-    M[s:, s:] = G
-    mu, Z = scipy.linalg.eig(L, M, check_finite=False, overwrite_a=True, overwrite_b=True)
+    alphar, alphai, beta, _, Z, _, info = dggev(
+        *_linearisation(E, F, G), compute_vl=0, overwrite_a=1, overwrite_b=1
+    )
+    if info != 0:
+        raise EigenSolveError(f"QZ of the cell-boundary pencil failed (dggev info {info})")
+    # mu = alpha / beta by complex division; beta = 0 is an infinite eigenvalue.
+    mu = np.full(2 * s, np.inf, dtype=complex)
+    np.divide(alphar + 1j * alphai, beta, out=mu, where=beta != 0.0)
     order = np.argsort(np.abs(mu), kind="stable")
     mu, Z = mu[order], Z[:, order]
     others = np.delete(mu, [s - 1, s])
@@ -135,8 +154,10 @@ def build_cell_map(spec: LatticeSpec, center_tol: float = CENTER_TOL) -> CellMap
             f"expected a doubled eigenvalue at 1 at modulus positions {s - 1}, {s}: {mu}"
         )
     stable = mu[: s - 1]
-    # A conjugate pair (z, conj z) spans the same real plane as (Re z, Im z).
-    Zr = np.where(stable.imag < 0, Z[:, : s - 1].imag, Z[:, : s - 1].real)
+    # LAPACK stores a conjugate pair's eigenvector z as the columns
+    # (Re z, Im z), which span the pair's real invariant plane.  Unit
+    # columns fix the gauge instead of LAPACK's largest-component scaling.
+    Zr = Z[:, : s - 1] / np.linalg.norm(Z[:, : s - 1], axis=0)
 
     # Jordan partner x_{kp} = w + k*1, gauged by w[0] = 0.
     K = E + F + G

@@ -115,7 +115,10 @@ def preset_config(name: str, h: float | None = None) -> dict:
                 "preset demo-5x10 requires --h (candidate value: 2*pi/46 = "
                 f"{DEMO5_CANDIDATE_H:.6f})"
             )
-        return _demo_5x10_config(h)
+        try:
+            return _demo_5x10_config(h)
+        except ValueError as exc:  # math.cos of an infinite argument
+            raise SpecValidationError([f"preset demo-5x10 is undefined at h={h}"]) from exc
     raise ConfigParseError(f"unknown preset {name!r}; available: demo-2x2, demo-5x10")
 
 
@@ -138,6 +141,18 @@ def _parse_micro_bc(raw, s: int, side: str) -> MicroBCSpec:
         values = np.array(raw.get("values", np.zeros(s)), dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigParseError(f"bad micro_bc_{side}: {exc}") from exc
+    # The value shapes documented on MicroBCSpec.
+    shape = {
+        BCKind.ROBIN_LIKE: (s, 2),
+        BCKind.CAUCHY_LIKE: (2,),
+        BCKind.MIXED: (3,) if side == "left" else (1,),
+    }.get(kind, (s,))
+    if values.shape != shape:
+        raise ConfigParseError(
+            f"micro_bc_{side} {kind.value} values must have shape {shape}, got {values.shape}"
+        )
+    if not np.isfinite(values).all():
+        raise ConfigParseError(f"micro_bc_{side} values must be finite")
     return MicroBCSpec(kind, values, side)
 
 
@@ -352,9 +367,10 @@ def cmd_dispersion(cfg: RunConfig, k_list) -> dict:
     ks = [float(k) for k in k_list]
     if not ks:
         ks = list(np.array([1e-3, 2e-3, 4e-3]) / (spec.p * spec.h))
-    if any(k <= 0 for k in ks):
-        raise ConfigParseError("wavenumbers must be positive")
+    if not all(0.0 < k < math.inf for k in ks):
+        raise ConfigParseError("wavenumbers must be positive and finite")
     table = [homogenize.dispersion_eigenvalues(spec, k) for k in ks]
+    lam0 = [float(l[0]) for l in table]
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     header = ["k"] + [f"lambda_{i}" for i in range(spec.n_cell)]
     write_csv(
@@ -365,8 +381,8 @@ def cmd_dispersion(cfg: RunConfig, k_list) -> dict:
     return {
         "command": "dispersion",
         "k": ks,
-        "lambda_0": [float(l[0]) for l in table],
-        "c_fit": homogenize.dispersion_fit(spec, np.array(ks)),
+        "lambda_0": lam0,
+        "c_fit": homogenize.acoustic_fit(ks, lam0),
     }
 
 

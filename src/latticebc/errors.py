@@ -68,6 +68,7 @@ class NoRootInBracket(LatticeError):
 
 
 class EigenSolveError(LatticeError):
-    """The microscale eigensolve (banded Cholesky or ARPACK) failed."""
+    """An eigensolve failed: the cell map's QZ, a dispersion solve, or the
+    microscale solve (banded Cholesky or ARPACK)."""
 
     code = "EigenSolveError"

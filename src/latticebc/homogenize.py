@@ -31,9 +31,23 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
 
-from .errors import EigenSolveError, KindUnsupported, NotConverged, SingularSolve
-from .lattice import LatticeSpec, build_B, build_L0, build_Lk, build_Lk_exact
+from .errors import (
+    EigenSolveError,
+    KindUnsupported,
+    NotConverged,
+    SingularSolve,
+    SpecValidationError,
+)
+from .lattice import (
+    LatticeSpec,
+    build_B,
+    build_L0,
+    build_Lk,
+    build_Lk_exact,
+    finiteness_violations,
+)
 
 RESIDUAL_TOL = 1e-12
 
@@ -71,6 +85,11 @@ def construct_slow_manifold(
     exact-arithmetic analogue of this iteration terminates at an exact
     zero and floating point needs a scale-aware substitute.
     """
+    # LAPACK does not check its input, and assembly from an infinity can
+    # already make NaNs, so a non-finite spec stops before either.
+    bad = finiteness_violations(spec)
+    if bad:
+        raise SpecValidationError(bad)
     n = spec.n_cell
     Bdiag = np.diag(build_B(spec))
     Lk = build_Lk(spec)
@@ -86,14 +105,17 @@ def construct_slow_manifold(
 
     # Constrained solve: last equilibrium row replaced by the zero-mean
     # amplitude constraint.  L_0 alone is singular (constant kernel).
-    temp = L0.copy()
+    temp = np.array(L0, order="F")
     temp[-1, :] = 1.0
-    sv = np.linalg.svd(temp, compute_uv=False)
-    if sv[-1] <= 1e-12 * sv[0]:
+    anorm = np.abs(temp).sum(axis=0).max()
+    lu, piv, info = dgetrf(temp, overwrite_a=1)
+    # info > 0 is an exact zero pivot; otherwise LAPACK's 1-norm estimate.
+    rcond = dgecon(lu, anorm)[0] if info == 0 else 0.0
+    if not rcond > 1e-12:
         raise SingularSolve(
-            "amplitude-constrained stiffness is singular; lattice is likely disconnected"
+            f"amplitude-constrained stiffness is singular (rcond {rcond:.1e}); "
+            "lattice is likely disconnected"
         )
-    lu, piv = scipy.linalg.lu_factor(temp)
 
     a = np.zeros((n, 3), dtype=complex)
     a[:, 0] = 1.0
@@ -124,9 +146,9 @@ def construct_slow_manifold(
         g = g + ghat
         t = res + Bdiag[:, None] * ghat[None, :]
         t[-1, :] = 0.0
-        ahat = np.empty_like(a)
-        for d in range(3):
-            ahat[:, d] = scipy.linalg.lu_solve((lu, piv), t[:, d])
+        # One real solve on the real and imaginary parts of all three columns.
+        x = dgetrs(lu, piv, np.hstack([t.real, t.imag]))[0]
+        ahat = x[:, :3] + 1j * x[:, 3:]
         ahat[-1, :] = -ahat[:-1, :].sum(axis=0)
         a = a + ahat
         iterations += 1
@@ -194,12 +216,19 @@ def dispersion_fit(spec: LatticeSpec, k_samples=None) -> float:
     """Fit the acoustic branch lambda_0(k) ~ c k^2 at small wavenumbers.
 
     Uses the exact exponentials, not the truncation, so the result is an
-    independent check on the slow-manifold coefficient.  The fit weights
-    each sample by 1/k^4, i.e. least squares on lambda_0/k^2, which keeps
-    the k^4 dispersion correction from biasing the smallest samples.
+    independent check on the slow-manifold coefficient.
     """
     if k_samples is None:
         k_samples = np.array([1e-3, 2e-3, 4e-3]) / (spec.p * spec.h)
     k_samples = np.asarray(k_samples, dtype=float)
-    lam0 = np.array([dispersion_eigenvalues(spec, k)[0] for k in k_samples])
-    return float(np.mean(lam0 / k_samples ** 2))
+    return acoustic_fit(k_samples, [dispersion_eigenvalues(spec, k)[0] for k in k_samples])
+
+
+def acoustic_fit(k_samples, lam0) -> float:
+    """c from samples lambda_0(k) of the acoustic branch.
+
+    Weights each sample by 1/k^4, i.e. least squares on lambda_0/k^2,
+    which keeps the k^4 dispersion correction from biasing the smallest
+    samples.
+    """
+    return float(np.mean(np.array(lam0) / np.asarray(k_samples, dtype=float) ** 2))

@@ -104,9 +104,16 @@ class MicroBCSpec:
         return MicroBCSpec(BCKind.DIRICHLET, np.zeros(s), side)
 
 
+def finiteness_violations(spec: LatticeSpec) -> list:
+    """One message per parameter of the spec that holds an inf or a NaN."""
+    fields = (("h", spec.h), ("kappa_long", spec.kappa_long),
+              ("kappa_cross", spec.kappa_cross), ("rho", spec.rho))
+    return [f"non-finite {name}" for name, value in fields if not np.isfinite(value).all()]
+
+
 def validate_spec(spec: LatticeSpec) -> list:
     """Collect invariant violations; empty list means a valid spec."""
-    v = []
+    v = finiteness_violations(spec)
     if spec.s < 1:
         v.append(f"strand count s={spec.s} must be >= 1")
     if spec.p < 1:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,22 @@ def random_spec(rng, s, p, lo=0.1, hi=10.0, h=1.0, N=None):
                        kappa_long=rng.uniform(lo, hi, (p, s)),
                        kappa_cross=kc,
                        rho=rng.uniform(lo, hi, (p, s)))
+
+
+def with_entry(spec, field, value):
+    """Copy of spec with h, or one entry of a parameter array, set to value.
+
+    A cross elasticity is set symmetrically, between strands 0 and 1 of
+    column 1 (so the spec needs s >= 2 and p >= 2).
+    """
+    if field == "h":
+        return dataclasses.replace(spec, h=value)
+    arr = getattr(spec, field).copy()
+    if field == "kappa_cross":
+        arr[1, 0, 1] = arr[1, 1, 0] = value
+    else:
+        arr[1, 0] = value
+    return dataclasses.replace(spec, **{field: arr})
 
 
 def clamped_dense(spec):

@@ -2,18 +2,21 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.linalg.lapack import dggev
 
 from latticebc import (
+    SpecValidationError,
     UnexpectedSpectrum,
     build_cell_map,
     build_steady_operator,
     left_end_bc,
     reversed_spec,
 )
-from latticebc.cellmap import _REAL_FLOOR, CENTER_TOL, _boundary_reduction
+from latticebc.cellmap import _REAL_FLOOR, CENTER_TOL, _boundary_reduction, _linearisation
 from latticebc.lattice import MicroBCSpec
 
-from conftest import make_spec, random_spec
+from conftest import make_spec, random_spec, with_entry
 
 
 @pytest.fixture
@@ -208,6 +211,60 @@ class TestBuildMap:
         tiny = cm.stable_values[np.abs(cm.stable_values) <= _REAL_FLOOR]
         assert tiny.size and np.any(tiny.real < 0.0)
         assert cm.spectrum_all_real is True
+
+
+def _eig_stable_basis(spec):
+    """Stable basis on u_0 from scipy.linalg.eig's unit complex vectors.
+
+    Keeps Re z for one member of each conjugate pair and Im z for the
+    other, which spans the same real plane as LAPACK's packed columns.
+    """
+    s = spec.s
+    C, E, F, G = _boundary_reduction(spec)
+    mu, Z = scipy.linalg.eig(*_linearisation(E, F, G))
+    order = np.argsort(np.abs(mu), kind="stable")
+    mu, Z = mu[order][: s - 1], Z[:, order][:, : s - 1]
+    return C[: 2 * s] @ np.where(mu.imag < 0, Z.imag, Z.real)
+
+
+class TestLapackPath:
+    def test_packed_stable_basis_matches_eig(self):
+        # Criterion-3 draws with complex decaying pairs, then cells with a
+        # real decaying spectrum.
+        from test_acceptance import specs_criterion3
+
+        specs = specs_criterion3()
+        rng = np.random.default_rng(31)
+        cells = [specs[i] for i in (2, 91, 117)] + [
+            random_spec(rng, int(rng.integers(2, 7)), int(rng.integers(2, 10))) for _ in range(10)
+        ]
+        real = []
+        for spec in cells:
+            cm = build_cell_map(spec)
+            real.append(cm.spectrum_all_real)
+            assert _subspace_gap(cm.stable_vectors, _eig_stable_basis(spec)) <= 1e-12
+        assert not any(real[:3]) and sum(real[3:]) >= 5
+
+    def test_infinite_eigenvalues_classify(self):
+        # The growing modes of the (5,150) cell overflow the pencil: QZ
+        # returns beta = 0 for them, which must classify without a
+        # division warning (the suite turns RuntimeWarning into an error).
+        spec = random_spec(np.random.default_rng(0), 5, 150)
+        _, E, F, G = _boundary_reduction(spec)
+        beta = dggev(*_linearisation(E, F, G), compute_vl=0)[2]
+        assert np.any(beta == 0.0)
+        cm = build_cell_map(spec)
+        assert cm.stable_values.size == 4
+        assert np.all(np.abs(cm.stable_values) < 1.0)
+        assert np.all(np.isfinite(cm.stable_vectors))
+
+    @pytest.mark.parametrize("field", ["kappa_long", "kappa_cross"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_nonfinite_elasticity_raises(self, demo2x2_spec, field, value):
+        # The cell map reads only the elasticities; neither the interior
+        # solve nor the QZ checks its input.
+        with pytest.raises(SpecValidationError, match="non-finite"):
+            build_cell_map(with_entry(demo2x2_spec, field, value))
 
 
 class TestStructure:

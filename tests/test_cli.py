@@ -169,6 +169,11 @@ class TestCommands:
         with pytest.raises(ConfigParseError):
             cmd_dispersion(minimal_cfg, [-1.0])
 
+    @pytest.mark.parametrize("k", [math.inf, math.nan])
+    def test_dispersion_rejects_nonfinite(self, minimal_cfg, k):
+        with pytest.raises(ConfigParseError, match="finite"):
+            cmd_dispersion(minimal_cfg, [1e-3, k])
+
     def test_spectrum_uniform(self, minimal_cfg):
         report = cmd_spectrum(minimal_cfg)
         assert report["zero_multiplicity"] == 1
@@ -249,6 +254,48 @@ class TestMainEntry:
         assert err.count("\n") == 1
         assert err.startswith("error: ValidationError:")
         assert f"N = {N}" in err and "2p = 4" in err
+
+    @pytest.mark.parametrize("preset,h", [
+        ("demo-2x2", "inf"), ("demo-2x2", "nan"), ("demo-5x10", "inf"), ("demo-5x10", "nan"),
+    ])
+    def test_nonfinite_spacing_rejected(self, tmp_path, capsys, preset, h):
+        rc = main(["derive-bc", "--preset", preset, "--h", h, "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: ValidationError:")
+        assert not (tmp_path / "report.json").exists()
+
+    def test_infinite_config_value_rejected(self, tmp_path, capsys):
+        raw = preset_config("demo-2x2")
+        raw["kappa_long"][0][1] = math.inf
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps(raw))
+        assert "Infinity" in path.read_text()
+        rc = main(["derive-bc", "--config", str(path), "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: ValidationError: non-finite kappa_long\n"
+
+    @pytest.mark.parametrize("side,kind,values", [
+        ("left", "dirichlet", [0.0]),
+        ("left", "flux", [0.0, 0.0, 0.0]),
+        ("left", "robin_like", [0.1, 0.2]),
+        ("left", "cauchy_like", [0.0, 0.0, 0.0]),
+        ("left", "mixed", [0.0, 0.0]),
+        ("right", "mixed", [0.0, 0.0, 0.0]),
+        ("left", "dirichlet", [0.0, math.nan]),
+        ("left", "robin_like", [[0.1, 0.0], [math.inf, 0.0]]),
+    ])
+    def test_bad_micro_bc_values_rejected(self, tmp_path, capsys, side, kind, values):
+        # demo-2x2 has s = 2
+        raw = dict(preset_config("demo-2x2"), **{f"micro_bc_{side}": {"kind": kind, "values": values}})
+        path = tmp_path / "bc.json"
+        path.write_text(json.dumps(raw))
+        rc = main(["derive-bc", "--config", str(path), "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: ParseError: micro_bc_{side} ")
 
     def test_tolerance_flag(self, tmp_path, capsys):
         rc = main([

@@ -6,6 +6,7 @@ import pytest
 from latticebc import (
     KindUnsupported,
     SingularSolve,
+    SpecValidationError,
     build_B,
     build_L0,
     build_Lk_exact,
@@ -15,7 +16,7 @@ from latticebc import (
     dispersion_fit,
 )
 
-from conftest import make_spec, random_spec
+from conftest import make_spec, random_spec, with_entry
 
 
 class TestUniform:
@@ -157,6 +158,20 @@ class TestFailureModes:
         spec = make_spec(2, 2, np.ones((2, 2)), [0.0, 0.0], np.ones((2, 2)))
         with pytest.raises(SingularSolve):
             construct_slow_manifold(spec)
+
+    def test_nearly_disconnected_lattice(self):
+        # Cross springs of 1e-14 against unit longitudinal ones leave the
+        # factor nonsingular, but its rcond estimate falls below 1e-12.
+        spec = make_spec(2, 2, np.ones((2, 2)), [1e-14, 1e-14], np.ones((2, 2)))
+        with pytest.raises(SingularSolve, match="rcond"):
+            construct_slow_manifold(spec)
+
+    @pytest.mark.parametrize("field", ["h", "kappa_long", "kappa_cross", "rho"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_nonfinite_spec(self, demo2x2_spec, field, value):
+        # LAPACK's LU does not check its input; the spec is checked first.
+        with pytest.raises(SpecValidationError, match=f"non-finite {field}"):
+            construct_slow_manifold(with_entry(demo2x2_spec, field, value))
 
     def test_not_converged_with_tiny_budget(self, demo2x2_spec):
         from latticebc.errors import NotConverged
