@@ -36,7 +36,7 @@ from enum import Enum
 import numpy as np
 
 from .cellmap import CENTER_TOL, CellMap, build_cell_map
-from .errors import KindUnsupported, NullSpaceDimension
+from .errors import KindUnsupported, NullSpaceDimension, SpecValidationError
 from .lattice import BCKind, LatticeSpec, MicroBCSpec, reversed_spec
 
 NULL_TOL = 1e-10
@@ -89,79 +89,41 @@ class MacroBC:
     null_vectors: np.ndarray | None = None  # left-null basis, columns
 
 
-def _data_labels(kind: BCKind, side: str, s: int) -> tuple:
-    if side == "left":
-        b, d, inner = "b[0,{j}]", "d[0,{j}]", "b[1,0]"
-    else:
-        b, d, inner = "b[N,{j}]", "d[N,{j}]", "b[N-1,0]"
-    if kind == BCKind.DIRICHLET:
-        return tuple(b.format(j=j) for j in range(s))
-    if kind == BCKind.FLUX:
-        return tuple(d.format(j=j) for j in range(s))
-    if kind == BCKind.ROBIN_LIKE:
-        return tuple(b.format(j=j) for j in range(s))
-    if kind == BCKind.CAUCHY_LIKE:
-        return (b.format(j=0), inner)
-    if kind == BCKind.MIXED:
-        return (b.format(j=0), inner, b.format(j=1))
-    raise KindUnsupported(f"unknown boundary kind {kind}")
-
-
 def assemble_constraints(
     cm: CellMap, bc: MicroBCSpec, spec: LatticeSpec
 ) -> ConstraintSystem:
     """Build the (s+2) x (s+1) constraint system (s+3 rows for mixed)."""
     s, p, h = spec.s, spec.p, spec.h
+    if not (np.isfinite(h) and h > 0):
+        raise SpecValidationError([f"spacing h={h} must be positive and finite"])
     if cm.s != s:
-        raise ValueError(f"cell map is for {cm.s} strands, spec has {s}")
+        raise SpecValidationError([f"cell map is for {cm.s} strands, spec has {s}"])
     if bc.kind in (BCKind.CAUCHY_LIKE, BCKind.MIXED) and s != 2:
         raise KindUnsupported(f"{bc.kind.value} boundary conditions require s = 2, got s = {s}")
+    if bc.kind == BCKind.MIXED and bc.side == "right":
+        raise KindUnsupported(
+            "the mixed problem yields both macroscale conditions at the left end; "
+            "the right-end datum adds none"
+        )
+    shape = bc.value_shape(s)
+    if bc.values.shape != shape:
+        raise SpecValidationError(
+            [f"{bc.kind.value} values must have shape {shape}, got {bc.values.shape}"]
+        )
 
     # Basis columns restricted to the centre-stable modes.
-    cols = [cm.stable_vectors[:, i] for i in range(cm.stable_vectors.shape[1])]
-    cols.append(cm.center_vector)
-    cols.append(cm.generalized_vector)
-
-    if bc.kind == BCKind.DIRICHLET:
-        if bc.values.shape != (s,):
-            raise ValueError(f"dirichlet values must have shape ({s},)")
-        funcs = [(lambda v, j=j: v[j]) for j in range(s)]
-        scale = np.ones(s)
-    elif bc.kind == BCKind.FLUX:
-        if bc.values.shape != (s,):
-            raise ValueError(f"flux values must have shape ({s},)")
-        funcs = [(lambda v, j=j: v[s + j] - v[j]) for j in range(s)]
-        scale = np.full(s, h)
-    elif bc.kind == BCKind.ROBIN_LIKE:
-        if bc.values.shape != (s, 2):
-            raise ValueError(f"robin_like values must have shape ({s}, 2)")
-        dvals = bc.values[:, 0]
-        funcs = [
-            (lambda v, j=j: v[j] + dvals[j] / h * (v[s + j] - v[j])) for j in range(s)
-        ]
-        scale = np.ones(s)
-    elif bc.kind == BCKind.CAUCHY_LIKE:
-        if bc.values.shape != (2,):
-            raise ValueError("cauchy_like values must have shape (2,)")
-        funcs = [lambda v: v[0], lambda v: v[s]]
-        scale = np.ones(2)
-    else:  # MIXED, left end only; the right-end datum adds no row
-        funcs = [lambda v: v[0], lambda v: v[s], lambda v: v[1]]
-        scale = np.ones(3)
-
-    n_data = len(funcs)
+    V = np.column_stack([cm.stable_vectors, cm.center_vector, cm.generalized_vector])
+    R, scale, labels = bc.data_rows(s, h)
+    n_data = len(scale)
     M = np.zeros((n_data + 2, s + 1))
-    for r, f in enumerate(funcs):
-        for cidx, v in enumerate(cols):
-            M[r, cidx] = f(v)
+    M[:n_data] = R @ V
     gamma_u = cm.first_cell_gen.mean() - (p - 1) / (2.0 * p)
     M[n_data, s - 1] = 1.0        # U row, constant column
     M[n_data, s] = gamma_u        # U row, generalized column
     M[n_data + 1, s] = 1.0 / (p * h)  # slope row, generalized column
-
-    labels = _data_labels(bc.kind, bc.side, s) + ("U", "dU/dx")
     return ConstraintSystem(
-        matrix=M, rhs_labels=labels, data_scale=scale, kind=bc.kind, side=bc.side
+        matrix=M, rhs_labels=labels + ("U", "dU/dx"), data_scale=scale, kind=bc.kind,
+        side=bc.side,
     )
 
 
@@ -258,7 +220,7 @@ def closed_form_bc(
         )
     h = spec.h
     v1, v3, q = _two_strand_eigendata(cm)
-    labels = _data_labels(kind, side, 2)
+    labels = MicroBCSpec(kind, values, side).data_rows(2, h)[2]
 
     if kind == BCKind.DIRICHLET:
         delta = v1[0] - v1[1]
@@ -345,16 +307,8 @@ def right_end_bc(
     mirror images of the left-end ones (differences point into the
     domain), so values pass through unchanged.
     """
-    if bc.kind == BCKind.MIXED:
-        raise KindUnsupported(
-            "the mixed problem yields both macroscale conditions at the left end; "
-            "the right-end datum adds none"
-        )
-    rspec = reversed_spec(spec)
-    rbc = MicroBCSpec(bc.kind, bc.values, side="right")
-    cm = build_cell_map(rspec, center_tol=center_tol)
-    cs = assemble_constraints(cm, rbc, rspec)
-    mb = derive_macro_bc(cs, null_tol=null_tol)
+    mb = left_end_bc(reversed_spec(spec), MicroBCSpec(bc.kind, bc.values, side="right"),
+                     center_tol, null_tol)
     if mb.kind == MacroBCKind.ROBIN:
         mb.d = -mb.d
     elif mb.kind == MacroBCKind.NEUMANN:

@@ -88,6 +88,8 @@ def construct_slow_manifold(
     # LAPACK does not check its input, and assembly from an infinity can
     # already make NaNs, so a non-finite spec stops before either.
     bad = finiteness_violations(spec)
+    if not spec.h > 0:
+        bad.append(f"spacing h={spec.h} must be positive")
     if bad:
         raise SpecValidationError(bad)
     n = spec.n_cell

@@ -75,16 +75,16 @@ class BCKind(str, Enum):
 class MicroBCSpec:
     """Microscale boundary data at one end of the domain.
 
-    values by kind (per strand j unless noted):
-      dirichlet    (s,)   prescribed displacements b_j
-      flux         (s,)   prescribed gradients d_j; the microscale
-                          constraint is u_inner - u_boundary = h*d_j with
-                          the difference pointing into the domain
-      robin_like   (s,2)  pairs (d_j, b_j): u_b + (d_j/h)(u_in - u_b) = b_j
-      cauchy_like  (2,)   both values on strand 0: boundary mass and its
-                          inward neighbour (two strands only)
-      mixed        left: (3,) = (b[0,0], b[1,0], b[0,1]); right: (1,)
-                          (two strands only)
+    values by kind (per strand j unless noted; `value_shape` gives the
+    shapes and `data_rows` the constraints on the first two columns):
+      dirichlet    prescribed displacements b_j
+      flux         prescribed gradients d_j: u_inner - u_boundary = h*d_j,
+                   the difference pointing into the domain
+      robin_like   pairs (d_j, b_j): u_b + (d_j/h)(u_in - u_b) = b_j
+      cauchy_like  both values on strand 0: the boundary mass and its
+                   inward neighbour (two strands only)
+      mixed        left: (b[0,0], b[1,0], b[0,1]); right: one datum that
+                   adds no condition (two strands only)
     """
 
     kind: BCKind
@@ -98,6 +98,33 @@ class MicroBCSpec:
         object.__setattr__(self, "values", arr)
         if self.side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {self.side!r}")
+
+    def value_shape(self, s: int) -> tuple:
+        """Shape that `values` must have on a lattice of s strands."""
+        if self.kind == BCKind.MIXED:
+            return (3,) if self.side == "left" else (1,)
+        return {BCKind.ROBIN_LIKE: (s, 2), BCKind.CAUCHY_LIKE: (2,)}.get(self.kind, (s,))
+
+    def data_rows(self, s: int, h: float):
+        """The data as rows on u_0 = (x_0, x_1), the first two columns.
+
+        Returns (R, scale, labels): datum r states R[r] @ u_0 =
+        scale[r] * datum_r, and labels[r] names it.  Each row is anchored
+        at one entry of u_0, which its label names by column and strand.
+        """
+        eye = np.eye(2 * s)
+        anchors = {BCKind.CAUCHY_LIKE: [0, s], BCKind.MIXED: [0, s, 1]}.get(
+            self.kind, list(range(s)))
+        R, scale = eye[anchors], np.ones(len(anchors))
+        if self.kind == BCKind.FLUX:
+            R, scale = eye[s:] - R, np.full(s, h)
+        elif self.kind == BCKind.ROBIN_LIKE:
+            w = self.values[:, :1] / h
+            R = (1.0 - w) * R + w * eye[s:]
+        column = ("0", "1") if self.side == "left" else ("N", "N-1")
+        name = "d" if self.kind == BCKind.FLUX else "b"
+        labels = tuple(f"{name}[{column[i // s]},{i % s}]" for i in anchors)
+        return R, scale, labels
 
     @staticmethod
     def dirichlet_zero(s: int, side: str = "left") -> "MicroBCSpec":

@@ -66,13 +66,14 @@ class SpectrumReport:
     zero_multiplicity: int
     spectral_gap: float
     min_rayleigh: float
+    scale: float                  # max(1, ||L_0||_F), the stiffness scale of the bounds
     eigenvalues: np.ndarray = field(repr=False)
 
-    def passed(self, scale: float = 1.0) -> bool:
+    def passed(self) -> bool:
         return (
-            self.symmetry_defect <= 1e-12 * max(1.0, scale)
+            self.symmetry_defect <= 1e-12 * self.scale
             and self.max_row_sum <= 1e-12
-            and self.min_eigenvalue >= -1e-10 * max(1.0, scale)
+            and self.min_eigenvalue >= -1e-10 * self.scale
             and self.zero_multiplicity == 1
             and self.spectral_gap > 0.0
             and self.min_rayleigh >= -1e-12
@@ -296,5 +297,6 @@ def spectrum_checks(spec: LatticeSpec, n_rayleigh: int = 10) -> SpectrumReport:
         zero_multiplicity=mult,
         spectral_gap=gap,
         min_rayleigh=min(quotients),
+        scale=scale,
         eigenvalues=lam,
     )

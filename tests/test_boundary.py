@@ -8,11 +8,13 @@ from latticebc import (
     KindUnsupported,
     MacroBCKind,
     MicroBCSpec,
+    SpecValidationError,
     assemble_constraints,
     build_cell_map,
     closed_form_bc,
     derive_macro_bc,
     left_end_bc,
+    reversed_spec,
     right_end_bc,
 )
 
@@ -79,6 +81,89 @@ class TestAssembly:
         cm = build_cell_map(spec)
         with pytest.raises(KindUnsupported):
             assemble_constraints(cm, MicroBCSpec(BCKind.CAUCHY_LIKE, np.zeros(2)), spec)
+
+
+# Each kind's data rows on u_0 = (x_0, x_1), written out per row: the
+# datum of row r is rows(v, s, values, h)[r] for each basis column v.
+ROWS = {
+    BCKind.DIRICHLET: lambda v, s, values, h: [v[j] for j in range(s)],
+    BCKind.FLUX: lambda v, s, values, h: [v[s + j] - v[j] for j in range(s)],
+    BCKind.ROBIN_LIKE: lambda v, s, values, h: [
+        v[j] + values[j, 0] / h * (v[s + j] - v[j]) for j in range(s)
+    ],
+    BCKind.CAUCHY_LIKE: lambda v, s, values, h: [v[0], v[s]],
+    BCKind.MIXED: lambda v, s, values, h: [v[0], v[s], v[1]],
+}
+
+LABELS = {
+    ("left", BCKind.DIRICHLET): ("b[0,0]", "b[0,1]"),
+    ("left", BCKind.FLUX): ("d[0,0]", "d[0,1]"),
+    ("left", BCKind.ROBIN_LIKE): ("b[0,0]", "b[0,1]"),
+    ("left", BCKind.CAUCHY_LIKE): ("b[0,0]", "b[1,0]"),
+    ("left", BCKind.MIXED): ("b[0,0]", "b[1,0]", "b[0,1]"),
+    ("right", BCKind.DIRICHLET): ("b[N,0]", "b[N,1]"),
+    ("right", BCKind.FLUX): ("d[N,0]", "d[N,1]"),
+    ("right", BCKind.ROBIN_LIKE): ("b[N,0]", "b[N,1]"),
+    ("right", BCKind.CAUCHY_LIKE): ("b[N,0]", "b[N-1,0]"),
+}
+
+
+def _s4_spec():
+    return random_spec(np.random.default_rng(37), 4, 3, h=0.7)
+
+
+class TestDataRows:
+    @pytest.mark.parametrize("s,kind", [(2, kind) for kind in ALL_KINDS] + [
+        (4, BCKind.DIRICHLET), (4, BCKind.FLUX), (4, BCKind.ROBIN_LIKE),
+    ])
+    def test_rows_match_written_formulas(self, demo2x2_spec, s, kind):
+        spec = demo2x2_spec if s == 2 else _s4_spec()
+        cm = build_cell_map(spec)
+        values = micro_values(np.random.default_rng(38), kind, s)
+        cs = assemble_constraints(cm, MicroBCSpec(kind, values), spec)
+        basis = [*cm.stable_vectors.T, cm.center_vector, cm.generalized_vector]
+        expected = np.array([ROWS[kind](v, s, values, spec.h) for v in basis]).T
+        n_data = expected.shape[0]
+        assert cs.matrix.shape == (n_data + 2, s + 1)
+        np.testing.assert_allclose(cs.matrix[:n_data], expected, rtol=1e-13, atol=1e-15)
+        scale = np.full(n_data, spec.h if kind == BCKind.FLUX else 1.0)
+        assert np.array_equal(cs.data_scale, scale)
+
+    @pytest.mark.parametrize("side,kind", list(LABELS))
+    def test_labels_both_sides(self, demo2x2_spec, side, kind):
+        values = micro_values(np.random.default_rng(39), kind, 2)
+        spec = demo2x2_spec if side == "left" else reversed_spec(demo2x2_spec)
+        cm = build_cell_map(spec)
+        cs = assemble_constraints(cm, MicroBCSpec(kind, values, side), spec)
+        assert cs.rhs_labels == LABELS[side, kind] + ("U", "dU/dx")
+        cf = closed_form_bc(kind, cm, spec, values=values, side=side)
+        assert cf.rhs_labels == LABELS[side, kind]
+
+    @pytest.mark.parametrize("kind,values", [
+        (BCKind.DIRICHLET, np.zeros(3)),
+        (BCKind.FLUX, np.zeros((2, 2))),
+        (BCKind.ROBIN_LIKE, np.zeros(2)),
+        (BCKind.CAUCHY_LIKE, np.zeros(3)),
+        (BCKind.MIXED, np.zeros(2)),
+    ])
+    def test_wrong_value_shape_is_typed(self, demo2x2_spec, kind, values):
+        cm = build_cell_map(demo2x2_spec)
+        with pytest.raises(SpecValidationError, match="values must have shape"):
+            assemble_constraints(cm, MicroBCSpec(kind, values), demo2x2_spec)
+        with pytest.raises(SpecValidationError, match="values must have shape"):
+            left_end_bc(demo2x2_spec, MicroBCSpec(kind, values))
+
+    def test_mismatched_cell_map_is_typed(self, demo2x2_spec):
+        cm = build_cell_map(_s4_spec())
+        with pytest.raises(SpecValidationError, match="cell map is for 4 strands"):
+            assemble_constraints(cm, MicroBCSpec.dirichlet_zero(2), demo2x2_spec)
+
+    @pytest.mark.parametrize("h", [np.inf, np.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("end", [left_end_bc, right_end_bc])
+    def test_invalid_spacing_is_typed(self, demo2x2_spec, end, h):
+        spec = dataclasses.replace(demo2x2_spec, h=h)
+        with pytest.raises(SpecValidationError, match="spacing h="):
+            end(spec, MicroBCSpec.dirichlet_zero(2))
 
 
 class TestDeriveTwoStrand:

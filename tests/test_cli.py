@@ -72,6 +72,16 @@ class TestParsing:
         with pytest.raises(ConfigParseError, match="unknown tolerance"):
             config_from_dict(MINIMAL, {"tol": {"bogus": 1e-3}})
 
+    @pytest.mark.parametrize("tolerances,match", [
+        ({"bogus": 1}, "unknown tolerance 'bogus'"),
+        ({"residual": "abc"}, "tolerance residual must be"),
+        ({"null_space": None}, "tolerance null_space must be"),
+        ({"null_space": [1e-10]}, "tolerance null_space must be"),
+    ])
+    def test_config_tolerances_checked(self, tolerances, match):
+        with pytest.raises(ConfigParseError, match=match):
+            config_from_dict(dict(MINIMAL, tolerances=tolerances))
+
 
 class TestPresets:
     def test_demo_2x2_values(self):
@@ -305,6 +315,36 @@ class TestMainEntry:
         # an unreachable residual tolerance must surface as NotConverged
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: NotConverged:")
+
+    @pytest.mark.parametrize("name", ["residual", "center_eigenvalue", "null_space"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_invalid_tolerance_flag_rejected(self, tmp_path, capsys, name, value):
+        # nan used to disable the check it sets (e.g. UnexpectedSpectrum
+        # could never fire) or to fail later with a misleading error.
+        rc = main(["derive-bc", "--preset", "demo-2x2", "--out", str(tmp_path),
+                   "--tol", f"{name}={value}"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: ParseError: tolerance {name} must be a positive")
+
+    def test_wrapped_error_message_stays_on_one_line(self, tmp_path, capsys):
+        # Without cross springs the strands decouple and the cell map's
+        # eigenvalues split about 1 at rounding level; the array repr of
+        # them in the UnexpectedSpectrum message wraps over three lines.
+        raw = {
+            "s": 3, "p": 2, "h": 1.0, "N": 8,
+            "kappa_long": [[2.0, 0.5, 3.0], [0.1, 5.0, 0.7]],
+            "kappa_cross": np.zeros((2, 3, 3)).tolist(),
+            "rho": [[1.0, 2.0, 0.3], [4.0, 0.5, 1.7]],
+        }
+        path = tmp_path / "decoupled.json"
+        path.write_text(json.dumps(raw))
+        rc = main(["derive-bc", "--config", str(path), "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: UnexpectedSpectrum:")
 
     def test_dispersion_k_flag(self, tmp_path, capsys):
         rc = main([

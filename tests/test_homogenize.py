@@ -173,6 +173,12 @@ class TestFailureModes:
         with pytest.raises(SpecValidationError, match=f"non-finite {field}"):
             construct_slow_manifold(with_entry(demo2x2_spec, field, value))
 
+    @pytest.mark.parametrize("h", [np.inf, np.nan, 0.0, -1.0])
+    def test_invalid_spacing(self, demo2x2_spec, h):
+        # h <= 0 used to reach build_Lk's bare ValueError.
+        with pytest.raises(SpecValidationError, match="h"):
+            construct_slow_manifold(dataclasses.replace(demo2x2_spec, h=h))
+
     def test_not_converged_with_tiny_budget(self, demo2x2_spec):
         from latticebc.errors import NotConverged
 

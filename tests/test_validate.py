@@ -283,9 +283,7 @@ class TestSpectrumChecks:
 
     def test_demo_passes(self, demo2x2_spec):
         rep = spectrum_checks(demo2x2_spec)
-        from latticebc import build_L0
-
-        assert rep.passed(np.linalg.norm(build_L0(demo2x2_spec), "fro"))
+        assert rep.passed()
         assert rep.min_rayleigh >= 0.0
 
     def test_disconnected_reports_double_zero(self):
