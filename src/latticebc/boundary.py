@@ -34,9 +34,10 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.linalg.lapack import dgesdd
 
 from .cellmap import CENTER_TOL, CellMap, build_cell_map
-from .errors import KindUnsupported, NullSpaceDimension, SpecValidationError
+from .errors import EigenSolveError, KindUnsupported, NullSpaceDimension, SpecValidationError
 from .lattice import BCKind, LatticeSpec, MicroBCSpec, reversed_spec
 
 NULL_TOL = 1e-10
@@ -89,6 +90,14 @@ class MacroBC:
     null_vectors: np.ndarray | None = None  # left-null basis, columns
 
 
+def _check_mixed_side(kind: BCKind, side: str) -> None:
+    if kind == BCKind.MIXED and side == "right":
+        raise KindUnsupported(
+            "the mixed problem yields both macroscale conditions at the left end; "
+            "the right-end datum adds none"
+        )
+
+
 def assemble_constraints(
     cm: CellMap, bc: MicroBCSpec, spec: LatticeSpec
 ) -> ConstraintSystem:
@@ -100,11 +109,7 @@ def assemble_constraints(
         raise SpecValidationError([f"cell map is for {cm.s} strands, spec has {s}"])
     if bc.kind in (BCKind.CAUCHY_LIKE, BCKind.MIXED) and s != 2:
         raise KindUnsupported(f"{bc.kind.value} boundary conditions require s = 2, got s = {s}")
-    if bc.kind == BCKind.MIXED and bc.side == "right":
-        raise KindUnsupported(
-            "the mixed problem yields both macroscale conditions at the left end; "
-            "the right-end datum adds none"
-        )
+    _check_mixed_side(bc.kind, bc.side)
     shape = bc.value_shape(s)
     if bc.values.shape != shape:
         raise SpecValidationError(
@@ -138,7 +143,9 @@ def derive_macro_bc(cs: ConstraintSystem, null_tol: float = NULL_TOL) -> MacroBC
     """
     M = cs.matrix
     n_data = cs.n_data
-    U, sigma, _ = np.linalg.svd(M, full_matrices=True)
+    U, sigma, _, info = dgesdd(M, compute_uv=1, full_matrices=1)
+    if info != 0:
+        raise EigenSolveError(f"SVD of the constraint matrix failed (dgesdd info {info})")
     rank = int(np.sum(sigma > null_tol * sigma[0]))
     null = U[:, rank:]
     expected = 2 if cs.kind == BCKind.MIXED else 1
@@ -211,27 +218,34 @@ def closed_form_bc(
     eigenvectors the numeric path uses; serves as its cross-oracle.
     Fails by zero division when the stable eigenvector has equal first
     components (strand-symmetric lattices); the SVD route is the
-    authoritative one there.
+    authoritative one there.  For side "right", pass the reversed lattice
+    (`reversed_spec`) and its cell map: the result gets right_end_bc's
+    chain-rule sign flip, and the mixed kind raises KindUnsupported.
     """
     kind = BCKind(kind)
     if spec.s != 2 or spec.p != 2:
         raise KindUnsupported(
             f"closed forms require s = 2, p = 2, got s = {spec.s}, p = {spec.p}"
         )
-    h = spec.h
+    _check_mixed_side(kind, side)
+    labels = MicroBCSpec(kind, values, side).data_rows(2, spec.h)[2]
+    mb = _closed_form_left(kind, cm, spec.h, values, labels)
+    return _mirror(mb) if side == "right" else mb
+
+
+def _closed_form_left(kind: BCKind, cm: CellMap, h: float, values, labels) -> MacroBC:
     v1, v3, q = _two_strand_eigendata(cm)
-    labels = MicroBCSpec(kind, values, side).data_rows(2, h)[2]
 
     if kind == BCKind.DIRICHLET:
         delta = v1[0] - v1[1]
         d = -2.0 * h * ((v1[1] * v3[0] - v1[0] * v3[1]) / delta + q)
         weights = np.array([-v1[1], v1[0]]) / delta
-        return MacroBC(MacroBCKind.ROBIN, side, float(d), weights, labels)
+        return MacroBC(MacroBCKind.ROBIN, "left", float(d), weights, labels)
 
     if kind == BCKind.FLUX:
         denom = (v1[2] - v1[0]) * (v3[3] - v3[1]) - (v1[3] - v1[1]) * (v3[2] - v3[0])
         weights = np.array([-(v1[3] - v1[1]), (v1[2] - v1[0])]) / (2.0 * denom)
-        return MacroBC(MacroBCKind.NEUMANN, side, None, weights, labels)
+        return MacroBC(MacroBCKind.NEUMANN, "left", None, weights, labels)
 
     if kind == BCKind.ROBIN_LIKE:
         values = np.asarray(values, dtype=float)
@@ -244,13 +258,13 @@ def closed_form_bc(
         w1 = a2 / delta
         w2 = -a1 / delta
         w4 = -2.0 * (a2 * g1 - a1 * g2) / delta - 0.5 * h * (v3.sum() - 1.0)
-        return MacroBC(MacroBCKind.ROBIN, side, float(w4), np.array([-w1, -w2]), labels)
+        return MacroBC(MacroBCKind.ROBIN, "left", float(w4), np.array([-w1, -w2]), labels)
 
     if kind == BCKind.CAUCHY_LIKE:
         delta = v1[0] - v1[2]
         d = -2.0 * h * ((v1[2] * v3[0] - v1[0] * v3[2]) / delta + q)
         weights = np.array([-v1[2], v1[0]]) / delta
-        return MacroBC(MacroBCKind.ROBIN, side, float(d), weights, labels)
+        return MacroBC(MacroBCKind.ROBIN, "left", float(d), weights, labels)
 
     if kind == BCKind.MIXED:
         # Probe the affine pair formula on unit data to extract weights.
@@ -274,7 +288,7 @@ def closed_form_bc(
         slope_w = np.array([pr[1] for pr in probes])
         return MacroBC(
             MacroBCKind.CAUCHY_PAIR,
-            side,
+            "left",
             None,
             None,
             labels,
@@ -307,8 +321,15 @@ def right_end_bc(
     mirror images of the left-end ones (differences point into the
     domain), so values pass through unchanged.
     """
-    mb = left_end_bc(reversed_spec(spec), MicroBCSpec(bc.kind, bc.values, side="right"),
-                     center_tol, null_tol)
+    return _mirror(left_end_bc(reversed_spec(spec), MicroBCSpec(bc.kind, bc.values, "right"),
+                               center_tol, null_tol))
+
+
+def _mirror(mb: MacroBC) -> MacroBC:
+    """A condition derived on the reversed lattice, in the original x.
+
+    d/dx' = -d/dx: a Robin d and Neumann weights change sign.
+    """
     if mb.kind == MacroBCKind.ROBIN:
         mb.d = -mb.d
     elif mb.kind == MacroBCKind.NEUMANN:

@@ -26,9 +26,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dggev
+from scipy.linalg.lapack import dgesv, dggev
 
-from .errors import EigenSolveError, NoJordanChain, SpecValidationError, UnexpectedSpectrum
+from .errors import (
+    EigenSolveError,
+    NoJordanChain,
+    SingularSolve,
+    SpecValidationError,
+    UnexpectedSpectrum,
+)
 from .lattice import LatticeSpec, build_steady_operator
 
 # The doubled eigenvalue 1 is defective: rounding splits it by
@@ -100,14 +106,24 @@ def _boundary_reduction(spec: LatticeSpec):
     C = np.zeros(((p + 1) * s, 2 * s))
     C[:s, :s] = np.eye(s)
     C[p * s:, s:] = np.eye(s)
-    coupling = np.hstack([A[:n, :s], A[:n, p * s: (p + 1) * s]])
-    C[s: p * s] = np.linalg.solve(A[:n, s: p * s], -coupling)
+    if n:  # p = 1 has no interior
+        coupling = np.hstack([A[:n, :s], A[:n, p * s: (p + 1) * s]])
+        C[s: p * s] = _solve(A[:n, s: p * s], -coupling, "clamped cell interior")
     # Force balance at column p: columns 0..p lie in this cell, column
     # p+1 is column 1 of the next one, which has x_p and x_2p as ends.
     row = A[n:]
     EF = row[:, : (p + 1) * s] @ C
     FG = row[:, (p + 1) * s:] @ C[s: 2 * s]
     return C, EF[:, :s], EF[:, s:] + FG[:, :s], FG[:, s:]
+
+
+def _solve(a, b, what):
+    """x with a x = b by LU (dgesv); a singular matrix is a SingularSolve."""
+    _, _, x, info = dgesv(a, b)
+    if info != 0:
+        raise SingularSolve(f"{what} is singular (dgesv info {info}); "
+                            "lattice is likely disconnected")
+    return x
 
 
 def _linearisation(E, F, G):
@@ -163,7 +179,8 @@ def build_cell_map(spec: LatticeSpec, center_tol: float = CENTER_TOL) -> CellMap
     K = E + F + G
     rhs = (E - G).sum(axis=1)
     w = np.zeros(s)
-    w[1:] = np.linalg.solve(K[1:, 1:], rhs[1:])
+    if s > 1:  # one strand: w = (0) and the block is empty
+        w[1:] = _solve(K[1:, 1:], rhs[1:], "Jordan-partner block")
     res = np.linalg.norm(K @ w - rhs)
     if not res <= 1e-9 * np.abs(F).max() * (1.0 + np.abs(w).max()):
         raise NoJordanChain(f"no generalized eigenvector at 1, residual {res:.2e}")

@@ -26,7 +26,8 @@ class SpecValidationError(LatticeError):
 
 
 class SingularSolve(LatticeError):
-    """The constrained quasi-static solve is singular (disconnected lattice)."""
+    """A quasi-static solve is singular (disconnected lattice): the slow
+    manifold's constrained stiffness or a cell-map solve."""
 
     code = "SingularSolve"
 
@@ -68,7 +69,7 @@ class NoRootInBracket(LatticeError):
 
 
 class EigenSolveError(LatticeError):
-    """An eigensolve failed: the cell map's QZ, a dispersion solve, or the
-    microscale solve (banded Cholesky or ARPACK)."""
+    """An eigensolve failed: the cell map's QZ, the constraint SVD, a
+    dispersion solve, or the microscale solve (banded Cholesky or ARPACK)."""
 
     code = "EigenSolveError"

@@ -20,6 +20,12 @@ By linearity the velocity shape equals the displacement shape, so a
 single shape vector is tracked; the residual certificate below involves
 only a and g and validates that bookkeeping.
 
+The iteration runs in real arithmetic on coefficients of kappa = ik:
+L_k = sum_d kappa^d L_d with every L_d real, so a = 1 + kappa alpha -
+kappa^2 beta and g = c kappa^2 have real kappa-coefficients, and so do
+every residual and correction.  The k-coefficients are formed once at
+the end.
+
 Two independent oracles are provided: the closed-form two-strand
 two-periodic coefficients, and a small-k fit of the exact dispersion
 relation.
@@ -93,17 +99,16 @@ def construct_slow_manifold(
     if bad:
         raise SpecValidationError(bad)
     n = spec.n_cell
-    Bdiag = np.diag(build_B(spec))
-    Lk = build_Lk(spec)
-    # Contiguous copies: a strided slice would send `@` down a different
-    # summation order and move results at the 1e-15 level.
-    Lc = [Lk[:, :, d].copy() for d in range(3)]
-    L0 = Lc[0].real
+    Bdiag = spec.h ** 2 * spec.rho.reshape(-1)   # the diagonal of build_B
+    # L(k) = sum_d kappa^d L_d with kappa = ik and every L_d real, stacked
+    # as (3n, n) so that one product applies all three to the shape.
+    Lstack = np.moveaxis(build_Lk(spec), 2, 0).reshape(3 * n, n)
+    L0 = Lstack[:n]
     # ||L_0|| is the stiffness scale of the residual certificate; the
-    # single-mass cell has L_0 = 0, so fall back to the k-coefficients.
+    # single-mass cell has L_0 = 0, so fall back to the coefficients.
     scale = np.linalg.norm(L0, "fro")
     if scale == 0.0:
-        scale = max(np.linalg.norm(M, "fro") for M in Lc)
+        scale = np.linalg.norm(Lstack.reshape(3, n, n), axis=(1, 2)).max()
 
     # Constrained solve: last equilibrium row replaced by the zero-mean
     # amplitude constraint.  L_0 alone is singular (constant kernel).
@@ -119,21 +124,24 @@ def construct_slow_manifold(
             "lattice is likely disconnected"
         )
 
-    a = np.zeros((n, 3), dtype=complex)
+    # a and g as real kappa-coefficients: a = 1 + kappa alpha - kappa^2 beta.
+    a = np.zeros((n, 3))
     a[:, 0] = 1.0
-    g = np.zeros(3, dtype=complex)
+    g = np.zeros(3)
     sum_b = Bdiag.sum()
 
     def residual(a_, g_):
-        # res2 = B (a g) - L_k a, truncated at k^2, as an (n, 3) array.
+        # res = B (a g) - L a, truncated at kappa^2, as an (n, 3) array.
         ag = np.empty_like(a_)
         ag[:, 0] = a_[:, 0] * g_[0]
         ag[:, 1] = a_[:, 0] * g_[1] + a_[:, 1] * g_[0]
         ag[:, 2] = (a_[:, 0] * g_[2] + a_[:, 2] * g_[0]) + a_[:, 1] * g_[1]
-        lka = np.empty_like(a_)
-        for d in range(3):
-            lka[:, d] = sum(Lc[o] @ a_[:, d - o] for o in range(d + 1))
-        return Bdiag[:, None] * ag - lka
+        P = (Lstack @ a_).reshape(3, n, 3)   # P[d, :, e] = L_d a_e
+        la = np.empty_like(a_)
+        la[:, 0] = P[0, :, 0]
+        la[:, 1] = P[0, :, 1] + P[1, :, 0]
+        la[:, 2] = P[0, :, 2] + P[1, :, 1] + P[2, :, 0]
+        return Bdiag[:, None] * ag - la
 
     iterations = 0
     res = residual(a, g)
@@ -148,28 +156,23 @@ def construct_slow_manifold(
         g = g + ghat
         t = res + Bdiag[:, None] * ghat[None, :]
         t[-1, :] = 0.0
-        # One real solve on the real and imaginary parts of all three columns.
-        x = dgetrs(lu, piv, np.hstack([t.real, t.imag]))[0]
-        ahat = x[:, :3] + 1j * x[:, 3:]
+        ahat = dgetrs(lu, piv, t)[0]
         ahat[-1, :] = -ahat[:-1, :].sum(axis=0)
         a = a + ahat
         iterations += 1
         res = residual(a, g)
         res_norm = float(np.max(np.abs(res)))
 
-    amax = max(1.0, float(np.max(np.abs(a))))
-    if np.max(np.abs(a[:, 1].real)) > 1e-10 * amax or np.max(np.abs(a[:, 2].imag)) > 1e-10 * amax:
-        raise NotConverged("shape did not settle to the 1 + i k alpha + k^2 beta form")
-    alpha = a[:, 1].imag.copy()
-    beta = a[:, 2].real.copy()
-    c = -float(g[2].real)
+    c = float(g[2])
     if not c > 0:
         raise NotConverged(f"effective coefficient must be positive, got {c}")
+    # Back to coefficients of k: kappa^d = i^d k^d.
+    to_k = np.array([1.0, 1j, -1.0])
     return SlowManifold(
-        a=a,
-        alpha=alpha,
-        beta=beta,
-        g=g,
+        a=a * to_k,
+        alpha=a[:, 1].copy(),
+        beta=-a[:, 2],
+        g=g * to_k,
         c=c,
         iterations=iterations,
         residual_norm=res_norm,

@@ -17,9 +17,10 @@ Parameters
 ``rho[m][j]``          density of mass (m, j).
 
 The operators built here: the diagonal mass matrix B = h^2 diag(rho),
-the Fourier-space stiffness L_k (truncated in k, and exact for the
-dispersion oracle), its k=0 limit L_0, and the quasi-steady operator
-whose rows are the equilibrium equations of interior masses.
+the Fourier-space stiffness L_k (truncated, as real coefficients of
+powers of ik, and exact for the dispersion oracle), its k=0 limit L_0,
+and the quasi-steady operator whose rows are the equilibrium equations
+of interior masses.
 """
 
 from __future__ import annotations
@@ -227,18 +228,18 @@ def build_L0(spec: LatticeSpec) -> np.ndarray:
 
 
 def build_Lk(spec: LatticeSpec) -> np.ndarray:
-    """Fourier-space stiffness with exponentials truncated at order k^2.
+    """Fourier-space stiffness truncated at second order, in powers of ik.
 
-    Returns the (s*p, s*p, 3) complex array whose [:, :, d] slice is the
-    k^d coefficient matrix.  The links carry exp(+-ikh) truncated to
-    1 +- ihk - h^2 k^2 / 2.  Hermitian when evaluated at real k; the k^0
-    part equals build_L0.
+    Returns the real (s*p, s*p, 3) array of coefficient matrices L_d with
+    L(k) = sum_d (ik)^d L_d: the links carry exp(+-ikh) truncated to
+    1 +- h (ik) + h^2 (ik)^2 / 2, whose coefficients are all real.  L(k)
+    is Hermitian at real k, and L_0 equals build_L0.
     """
     h = spec.h
     if not h > 0:
         raise ValueError(f"spacing h must be positive, got {h}")
-    epos = np.array([1.0, 1j * h, -0.5 * h * h])
-    return _periodic_operator(spec, epos, epos.conj(), complex)
+    return _periodic_operator(spec, np.array([1.0, h, 0.5 * h * h]),
+                              np.array([1.0, -h, 0.5 * h * h]), float)
 
 
 def build_Lk_exact(spec: LatticeSpec, k: float) -> np.ndarray:

@@ -22,6 +22,7 @@ import scipy.linalg
 import scipy.sparse.linalg
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg.blas import dsbmv
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse.linalg import LinearOperator
 
 from .boundary import MacroBC, MacroBCKind
@@ -134,10 +135,18 @@ def microscale_slowest_mode(spec: LatticeSpec):
         if size <= 2:  # ARPACK needs k < n
             lam, vecs = scipy.linalg.eig_banded(band, lower=True, select="i", select_range=(0, 0))
         else:
-            factor = (scipy.linalg.cholesky_banded(band, lower=True, check_finite=False), True)
+            factor, info = dpbtrf(band, lower=1)
+            if info != 0:
+                raise EigenSolveError(
+                    "microscale eigensolve failed: the clamped stiffness is not positive "
+                    f"definite (dpbtrf info {info})"
+                )
 
             def solve(v):
-                return scipy.linalg.cho_solve_banded(factor, v, check_finite=False)
+                x, info = dpbtrs(factor, v, lower=1)
+                if info != 0:
+                    raise EigenSolveError(f"microscale eigensolve failed (dpbtrs info {info})")
+                return x
 
             lam, vecs = scipy.sparse.linalg.eigsh(
                 LinearOperator((size, size), matvec=apply, dtype=float),

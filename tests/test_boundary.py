@@ -5,6 +5,7 @@ import pytest
 
 from latticebc import (
     BCKind,
+    EigenSolveError,
     KindUnsupported,
     MacroBCKind,
     MicroBCSpec,
@@ -17,6 +18,8 @@ from latticebc import (
     reversed_spec,
     right_end_bc,
 )
+
+from latticebc import boundary
 
 from conftest import make_spec, random_spec
 
@@ -167,6 +170,16 @@ class TestDataRows:
 
 
 class TestDeriveTwoStrand:
+    def test_failed_svd_is_typed(self, demo2x2_spec, monkeypatch):
+        real = boundary.dgesdd
+
+        def failing(*args, **kwargs):
+            return real(*args, **kwargs)[:3] + (1,)
+
+        monkeypatch.setattr(boundary, "dgesdd", failing)
+        with pytest.raises(EigenSolveError, match="dgesdd info 1"):
+            left_end_bc(demo2x2_spec, MicroBCSpec.dirichlet_zero(2))
+
     def test_dirichlet_matches_literal_null_vector(self, demo2x2_spec):
         # the closed form: d = -2h [ (v12 v31 - v11 v32)/(v11 - v12)
         # + (v3.1 - 1)/4 ], weights (-v12, v11)/(v11 - v12)
@@ -319,6 +332,23 @@ class TestRightEnd:
     def test_mixed_right_end_rejected(self, demo2x2_spec):
         with pytest.raises(KindUnsupported):
             right_end_bc(demo2x2_spec, MicroBCSpec(BCKind.MIXED, np.zeros(1), side="right"))
+        rs = reversed_spec(demo2x2_spec)
+        with pytest.raises(KindUnsupported):
+            closed_form_bc(BCKind.MIXED, build_cell_map(rs), rs, np.zeros(1), side="right")
+
+    @pytest.mark.parametrize("kind", ALL_KINDS[:4])
+    def test_closed_form_right_matches_pipeline(self, demo2x2_spec, kind):
+        # closed_form_bc on the reversed lattice applies the same
+        # chain-rule flip as right_end_bc: the Robin d and the Neumann
+        # weights change sign.
+        values = micro_values(np.random.default_rng(41), kind, 2)
+        got = right_end_bc(demo2x2_spec, MicroBCSpec(kind, values, side="right"))
+        rs = reversed_spec(demo2x2_spec)
+        cf = closed_form_bc(kind, build_cell_map(rs), rs, values, side="right")
+        assert (cf.kind, cf.side, cf.rhs_labels) == (got.kind, "right", got.rhs_labels)
+        if got.d is not None:
+            assert abs(cf.d - got.d) <= 1e-12 * max(1.0, abs(got.d))
+        np.testing.assert_allclose(cf.rhs_weights, got.rhs_weights, rtol=1e-12, atol=1e-12)
 
     def test_flux_sign_flip(self):
         # a symmetric lattice with mirrored flux data must give mirrored

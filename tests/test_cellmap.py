@@ -6,6 +6,7 @@ import scipy.linalg
 from scipy.linalg.lapack import dggev
 
 from latticebc import (
+    SingularSolve,
     SpecValidationError,
     UnexpectedSpectrum,
     build_cell_map,
@@ -14,6 +15,7 @@ from latticebc import (
     reversed_spec,
 )
 from latticebc.cellmap import _REAL_FLOOR, CENTER_TOL, _boundary_reduction, _linearisation
+from latticebc import cellmap
 from latticebc.lattice import MicroBCSpec
 
 from conftest import make_spec, random_spec, with_entry
@@ -265,6 +267,34 @@ class TestLapackPath:
         # solve nor the QZ checks its input.
         with pytest.raises(SpecValidationError, match="non-finite"):
             build_cell_map(with_entry(demo2x2_spec, field, value))
+
+    @pytest.mark.parametrize("size,what", [(2, "clamped cell interior"), (1, "Jordan-partner block")])
+    def test_failed_lu_is_typed(self, demo2x2_spec, monkeypatch, size, what):
+        # On demo-2x2 the interior solve is 2 x 2 and the Jordan-partner
+        # block 1 x 1; a nonzero info from either dgesv is a SingularSolve.
+        real = cellmap.dgesv
+
+        def failing(a, b):
+            lu, piv, x, info = real(a, b)
+            return lu, piv, x, (2 if a.shape[0] == size else info)
+
+        monkeypatch.setattr(cellmap, "dgesv", failing)
+        with pytest.raises(SingularSolve, match=f"{what} is singular .dgesv info 2"):
+            build_cell_map(demo2x2_spec)
+
+    def test_isolated_interior_mass_is_typed(self):
+        # Zero springs on both sides of column 2 leave its mass unattached:
+        # the clamped interior is exactly singular.
+        spec = make_spec(1, 4, [[1.0], [0.0], [0.0], [1.0]], np.zeros((4, 1, 1)), np.ones(4))
+        with pytest.raises(SingularSolve, match="clamped cell interior"):
+            build_cell_map(spec)
+
+    @pytest.mark.parametrize("s,p", [(1, 1), (1, 3), (3, 1)])
+    def test_no_interior_or_no_jordan_block(self, s, p):
+        # p = 1 has no clamped interior and s = 1 an empty Jordan block.
+        cm = build_cell_map(random_spec(np.random.default_rng(40), s, p))
+        assert cm.generalized_vector[0] == 0.0
+        assert np.all(np.isfinite(cm.generalized_vector))
 
 
 class TestStructure:

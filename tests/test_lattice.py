@@ -102,23 +102,27 @@ class TestL0:
         assert lam.min() > -1e-10 * max(1.0, np.linalg.norm(L0))
 
 
-def horner(M, k):
-    """Evaluate a (..., 3) array of k-coefficients at wavenumber k."""
-    return (M[..., 2] * k + M[..., 1]) * k + M[..., 0]
+def horner(M, x):
+    """Evaluate a (..., 3) array of coefficients at x."""
+    return (M[..., 2] * x + M[..., 1]) * x + M[..., 0]
 
 
 class TestLk:
+    """build_Lk holds real L_d with L(k) = sum_d (ik)^d L_d."""
+
     def test_uniform_entry(self, uniform_spec):
+        # exp(ik) + exp(-ik) - 2 = (ik)^2 + O(k^4)
         M = build_Lk(uniform_spec)
-        assert tuple(M[0, 0]) == (0.0, 0.0, -1.0)
+        assert M.dtype == float
+        assert tuple(M[0, 0]) == (0.0, 0.0, 1.0)
 
     def test_uniform_apply_ones(self, uniform_spec):
         out = build_Lk(uniform_spec).sum(axis=1)
-        assert tuple(out[0]) == (0.0, 0.0, -1.0)
+        assert tuple(out[0]) == (0.0, 0.0, 1.0)
 
     def test_two_step_constant_part(self, two_step_spec):
         M = build_Lk(two_step_spec)
-        assert np.allclose(M[:, :, 0].real, [[-4.0, 4.0], [4.0, -4.0]])
+        assert np.allclose(M[:, :, 0], [[-4.0, 4.0], [4.0, -4.0]])
 
     @given(spec_strategy())
     @settings(max_examples=25, deadline=None)
@@ -129,18 +133,19 @@ class TestLk:
     @given(spec_strategy())
     @settings(max_examples=25, deadline=None)
     def test_hermitian_at_real_k(self, spec):
-        at = horner(build_Lk(spec), 0.37 / (spec.p * spec.h))
+        at = horner(build_Lk(spec), 0.37j / (spec.p * spec.h))
         assert np.max(np.abs(at - at.conj().T)) < 1e-12 * max(1.0, np.max(np.abs(at)))
 
     @given(spec_strategy())
     @settings(max_examples=25, deadline=None)
     def test_truncation_matches_exact_to_cubic_order(self, spec):
-        # fit the cubic-bound constant at the larger wavenumber and check
-        # the smaller one; valid for any actual error order >= 3
+        # evaluate at kappa = ik; fit the cubic-bound constant at the
+        # larger wavenumber and check the smaller one; valid for any
+        # actual error order >= 3
         k1, k2 = 1e-3 / (spec.p * spec.h), 2e-3 / (spec.p * spec.h)
 
         def diff(k):
-            return np.max(np.abs(horner(build_Lk(spec), k) - build_Lk_exact(spec, k)))
+            return np.max(np.abs(horner(build_Lk(spec), 1j * k) - build_Lk_exact(spec, k)))
 
         c_fit = diff(k2) / k2 ** 3
         assert diff(k1) <= 1.05 * max(c_fit, 1e-9) * k1 ** 3 + 1e-15
@@ -258,10 +263,11 @@ class TestStencilMatchesLoops:
                 spec = random_spec(rng, s, p, h=float(rng.uniform(0.2, 2.0)))
                 k = float(rng.uniform(0.1, 3.0))
                 h = spec.h
-                epos = np.array([1.0, 1j * h, -0.5 * h * h])
-                eneg = np.array([1.0, -1j * h, -0.5 * h * h])
+                # exp(+-ikh) to second order in ik
+                epos = np.array([1.0, h, 0.5 * h * h])
+                eneg = np.array([1.0, -h, 0.5 * h * h])
                 assert np.array_equal(build_L0(spec), _loop_periodic(spec, 1.0, 1.0, float))
-                assert np.array_equal(build_Lk(spec), _loop_periodic(spec, epos, eneg, complex))
+                assert np.array_equal(build_Lk(spec), _loop_periodic(spec, epos, eneg, float))
                 assert np.array_equal(
                     build_Lk_exact(spec, k),
                     _loop_periodic(spec, np.exp(1j * k * spec.h), np.exp(-1j * k * spec.h),

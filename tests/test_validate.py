@@ -17,7 +17,7 @@ from latticebc import (
     right_end_bc,
     spectrum_checks,
 )
-from conftest import clamped_dense, make_spec, random_spec
+from conftest import clamped_dense, make_spec, random_spec, with_entry
 
 
 def robin(d, side="left"):
@@ -191,15 +191,13 @@ class TestSparseEigensolve:
         with pytest.raises(EigenSolveError):
             microscale_slowest_mode(demo2x2_spec)
 
-    def test_cholesky_failure_is_typed(self, demo2x2_spec, monkeypatch):
+    def test_cholesky_failure_is_typed(self, demo2x2_spec):
         from latticebc.errors import EigenSolveError
 
-        def fail(*args, **kwargs):
-            raise scipy.linalg.LinAlgError("3-th leading minor not positive definite")
-
-        monkeypatch.setattr(scipy.linalg, "cholesky_banded", fail)
-        with pytest.raises(EigenSolveError):
-            microscale_slowest_mode(demo2x2_spec)
+        # A negative spring makes the clamped stiffness indefinite, so the
+        # banded Cholesky factor stops with dpbtrf info > 0.
+        with pytest.raises(EigenSolveError, match="dpbtrf info 1"):
+            microscale_slowest_mode(with_entry(demo2x2_spec, "kappa_long", -50.0))
 
 
 class TestMacroscale:
