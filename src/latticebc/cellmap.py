@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgesv, dggev
+from scipy.linalg.lapack import dgesv, dggev, dpbsv
 
 from .errors import (
     EigenSolveError,
@@ -35,7 +35,7 @@ from .errors import (
     SpecValidationError,
     UnexpectedSpectrum,
 )
-from .lattice import LatticeSpec, build_steady_operator
+from .lattice import LatticeSpec, build_steady_operator, column_blocks
 
 # The doubled eigenvalue 1 is defective: rounding splits it by
 # O(sqrt(delta)) but moves its mean only by O(delta), so the pair passes
@@ -62,11 +62,9 @@ class CellMap:
     subspace either way.
     """
 
-    spec: LatticeSpec
     eigenvalues: np.ndarray          # all 2s, ascending by modulus
     stable_values: np.ndarray        # the s-1 decaying ones, complex dtype
     stable_vectors: np.ndarray       # (2s, s-1) real basis of their subspace
-    unstable_values: np.ndarray      # 1 / stable_values, ascending by modulus
     center_vector: np.ndarray        # the all-ones eigenvector
     generalized_vector: np.ndarray   # advances by 1 per cell, first component 0
     first_cell_gen: np.ndarray       # the same mode on columns 0..p-1
@@ -76,54 +74,42 @@ class CellMap:
     def s(self) -> int:
         return self.center_vector.size // 2
 
-    @property
-    def T(self) -> np.ndarray:
-        """Transfer matrix u_0 -> u_1, by one LU of the one-cell interior on access.
-
-        A diagnostic only: its entries grow like the growing modes to the
-        power p, so it loses all accuracy on long cells, and no pipeline
-        stage reads it.
-        """
-        s = self.spec.s
-        A = build_steady_operator(self.spec)
-        X = np.linalg.solve(A[:, 2 * s:], -A[:, : 2 * s])
-        return np.vstack([np.eye(2 * s), X])[-2 * s:]
-
 
 def _boundary_reduction(spec: LatticeSpec):
     """Column maps C and the quadratic's coefficients E, F, G.
 
     C ((p+1)s, 2s) maps the boundary pair (x_0, x_p) to columns 0..p of
-    a cell in equilibrium; its interior rows come from one solve of the
-    clamped interior, whose negated stiffness is SPD.
+    a cell in equilibrium, so S0 and Sp are its halves; its interior rows
+    come from one banded Cholesky solve of the clamped interior, driven
+    by the springs from column 0 into column 1 and from column p into
+    column p-1.
     """
     s, p = spec.s, spec.p
-    A = build_steady_operator(spec, rows=p)
-    # Neither the solve below nor the QZ checks its input.
-    if not np.isfinite(A).all():
-        raise SpecValidationError(["non-finite elasticity"])
     n = (p - 1) * s
+    # Column p's springs: by periodicity, its right one (kappa_long[0])
+    # also joins column 0 to column 1 and its left one column p-1 to p.
+    left, onsite, right = column_blocks(spec, p)
+    band = build_steady_operator(spec, p - 1) if n else np.zeros(0)
+    # Neither the solve below nor the QZ checks its input.
+    if not (np.isfinite(onsite).all() and np.isfinite(band).all()):
+        raise SpecValidationError(["non-finite elasticity"])
     C = np.zeros(((p + 1) * s, 2 * s))
     C[:s, :s] = np.eye(s)
     C[p * s:, s:] = np.eye(s)
     if n:  # p = 1 has no interior
-        coupling = np.hstack([A[:n, :s], A[:n, p * s: (p + 1) * s]])
-        C[s: p * s] = _solve(A[:n, s: p * s], -coupling, "clamped cell interior")
-    # Force balance at column p: columns 0..p lie in this cell, column
-    # p+1 is column 1 of the next one, which has x_p and x_2p as ends.
-    row = A[n:]
-    EF = row[:, : (p + 1) * s] @ C
-    FG = row[:, (p + 1) * s:] @ C[s: 2 * s]
-    return C, EF[:, :s], EF[:, s:] + FG[:, :s], FG[:, s:]
-
-
-def _solve(a, b, what):
-    """x with a x = b by LU (dgesv); a singular matrix is a SingularSolve."""
-    _, _, x, info = dgesv(a, b)
-    if info != 0:
-        raise SingularSolve(f"{what} is singular (dgesv info {info}); "
-                            "lattice is likely disconnected")
-    return x
+        strands = np.arange(s)
+        rhs = np.zeros((n, 2 * s))
+        rhs[strands, strands] = right
+        rhs[n - s + strands, s + strands] = left
+        _, C[s: p * s], info = dpbsv(band, rhs, lower=1)
+        if info != 0:
+            raise SingularSolve("clamped cell interior is not positive definite "
+                                f"(dpbsv info {info}); lattice is likely disconnected")
+    # Force balance at column p, whose neighbours are column p-1 of this
+    # cell and column 1 of the next one.
+    EF = left[:, None] * C[n: p * s]
+    FG = right[:, None] * C[s: 2 * s]
+    return C, EF[:, :s], EF[:, s:] + onsite + FG[:, :s], FG[:, s:]
 
 
 def _linearisation(E, F, G):
@@ -180,23 +166,23 @@ def build_cell_map(spec: LatticeSpec, center_tol: float = CENTER_TOL) -> CellMap
     rhs = (E - G).sum(axis=1)
     w = np.zeros(s)
     if s > 1:  # one strand: w = (0) and the block is empty
-        w[1:] = _solve(K[1:, 1:], rhs[1:], "Jordan-partner block")
+        _, _, w[1:], info = dgesv(K[1:, 1:], rhs[1:])
+        if info != 0:
+            raise SingularSolve(f"Jordan-partner block is singular (dgesv info {info}); "
+                                "lattice is likely disconnected")
     res = np.linalg.norm(K @ w - rhs)
     if not res <= 1e-9 * np.abs(F).max() * (1.0 + np.abs(w).max()):
         raise NoJordanChain(f"no generalized eigenvector at 1, residual {res:.2e}")
     gen = C @ np.concatenate([w, w + 1.0])
 
-    unstable = 1.0 / stable[::-1]
     # Realness is judged relative to |mu| (decaying values can lie far
     # below any absolute imaginary-part floor and still be genuinely
     # complex), on the values above _REAL_FLOOR only.
     judged = stable[np.abs(stable) > _REAL_FLOOR]
     return CellMap(
-        spec=spec,
-        eigenvalues=np.concatenate([stable, mu[s - 1: s + 1], unstable]),
+        eigenvalues=np.concatenate([stable, mu[s - 1: s + 1], 1.0 / stable[::-1]]),
         stable_values=stable,
         stable_vectors=C[: 2 * s] @ Zr,
-        unstable_values=unstable,
         center_vector=np.ones(2 * s),
         generalized_vector=gen[: 2 * s],
         first_cell_gen=gen[: p * s],

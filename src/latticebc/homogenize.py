@@ -27,8 +27,8 @@ every residual and correction.  The k-coefficients are formed once at
 the end.
 
 Two independent oracles are provided: the closed-form two-strand
-two-periodic coefficients, and a small-k fit of the exact dispersion
-relation.
+two-periodic coefficients, and c extrapolated from the exact dispersion
+relation at small k.
 """
 
 from __future__ import annotations
@@ -217,23 +217,31 @@ def dispersion_eigenvalues(spec: LatticeSpec, k: float) -> np.ndarray:
         raise EigenSolveError(f"generalized eigensolve failed at k = {k}: {exc}") from exc
 
 
-def dispersion_fit(spec: LatticeSpec, k_samples=None) -> float:
-    """Fit the acoustic branch lambda_0(k) ~ c k^2 at small wavenumbers.
+def dispersion_fit(spec: LatticeSpec) -> float:
+    """c from the acoustic branch lambda_0(k) = c k^2 + O(k^4) at small k.
 
-    Uses the exact exponentials, not the truncation, so the result is an
-    independent check on the slow-manifold coefficient.
+    Richardson extrapolation (4 f(k) - f(2k)) / 3 of f = lambda_0 / k^2,
+    at k = 1e-2 / (p h), cancels the k^2 term of f.  lambda_0 is the
+    smallest eigenvalue of the mass-scaled standard problem
+    B^-1/2 (-L_k) B^-1/2, which the Hermitian solver resolves to rounding
+    of the largest one.  Uses the exact exponentials, not the truncation,
+    so the result is an independent check on the slow-manifold coefficient.
     """
-    if k_samples is None:
-        k_samples = np.array([1e-3, 2e-3, 4e-3]) / (spec.p * spec.h)
-    k_samples = np.asarray(k_samples, dtype=float)
-    return acoustic_fit(k_samples, [dispersion_eigenvalues(spec, k)[0] for k in k_samples])
+    k = 1e-2 / (spec.p * spec.h)
+    root = spec.h * np.sqrt(spec.rho.reshape(-1))   # B^1/2
+
+    def f(q):
+        K = -build_Lk_exact(spec, q) / np.outer(root, root)
+        return scipy.linalg.eigh(K, eigvals_only=True, subset_by_index=[0, 0])[0] / q ** 2
+
+    return float((4.0 * f(k) - f(2.0 * k)) / 3.0)
 
 
-def acoustic_fit(k_samples, lam0) -> float:
+def acoustic_fit(ks, lam0) -> float:
     """c from samples lambda_0(k) of the acoustic branch.
 
     Weights each sample by 1/k^4, i.e. least squares on lambda_0/k^2,
     which keeps the k^4 dispersion correction from biasing the smallest
     samples.
     """
-    return float(np.mean(np.array(lam0) / np.asarray(k_samples, dtype=float) ** 2))
+    return float(np.mean(np.array(lam0) / np.asarray(ks, dtype=float) ** 2))

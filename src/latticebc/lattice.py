@@ -19,8 +19,7 @@ Parameters
 The operators built here: the diagonal mass matrix B = h^2 diag(rho),
 the Fourier-space stiffness L_k (truncated, as real coefficients of
 powers of ik, and exact for the dispersion oracle), its k=0 limit L_0,
-and the quasi-steady operator whose rows are the equilibrium equations
-of interior masses.
+and the banded stiffness of the clamped quasi-steady interior.
 """
 
 from __future__ import annotations
@@ -253,26 +252,24 @@ def build_Lk_exact(spec: LatticeSpec, k: float) -> np.ndarray:
     return _periodic_operator(spec, epos, eneg, complex)
 
 
-def build_steady_operator(spec: LatticeSpec, rows: int | None = None) -> np.ndarray:
-    """Quasi-steady equilibrium equations as an (s*rows, s*(rows+2)) matrix.
+def build_steady_operator(spec: LatticeSpec, rows: int) -> np.ndarray:
+    """Clamped quasi-steady stiffness K = -S on columns 1..rows, as a band.
 
-    Row (n, j), n = 1..rows, holds the coefficients of the zero-RHS force
-    balance on mass (n, j); columns run over masses n = 0..rows+1 in flat
-    ordering.  Every row sums to zero.
+    Columns 0 and rows+1 are held fixed, so K is the symmetric
+    block-tridiagonal stiffness of the masses n = 1..rows in flat
+    ordering, positive definite for a valid spec, with bandwidth s.
+    Returns its lower band (s+1, s*rows) in LAPACK storage,
+    band[d, i] = K[i+d, i]; entries past the last row are zero.
     """
-    if rows is None:
-        rows = spec.p
     if rows < 1:
         raise ValueError(f"rows={rows} must be >= 1")
     s = spec.s
-    left, onsite, right = column_blocks(spec, np.arange(1, rows + 1))
-    A = np.zeros((rows, s, rows + 2, s))
-    r = np.arange(rows)
-    A[r, :, r + 1, :] = onsite
-    r, j = r[:, None], np.arange(s)[None, :]
-    A[r, j, r, j] = left
-    A[r, j, r + 2, j] = right
-    return A.reshape(s * rows, s * (rows + 2))
+    _, onsite, right = column_blocks(spec, np.arange(1, rows + 1))
+    band = np.zeros((s + 1, rows, s))
+    for d in range(s):  # band[d, n, j] = -onsite[n, j+d, j]
+        band[d, :, : s - d] = -np.diagonal(onsite, -d, 1, 2)
+    band[s, :-1] = -right[:-1]   # column n to n+1
+    return band.reshape(s + 1, s * rows)
 
 
 def reversed_spec(spec: LatticeSpec) -> LatticeSpec:

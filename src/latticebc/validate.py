@@ -28,7 +28,7 @@ from scipy.sparse.linalg import LinearOperator
 from .boundary import MacroBC, MacroBCKind
 from .errors import EigenSolveError, KindUnsupported, NoRootInBracket, SpecValidationError
 from .homogenize import SlowManifold
-from .lattice import LatticeSpec, build_B, build_L0, column_blocks
+from .lattice import LatticeSpec, build_B, build_L0, build_steady_operator
 
 
 @dataclass
@@ -84,21 +84,13 @@ class SpectrumReport:
 def _interior_system(spec: LatticeSpec):
     """Mass-scaled clamped stiffness over masses n = 1..N-1, as a band.
 
-    K = -S is block-tridiagonal in the column index, so with the masses
-    ordered column by column it has bandwidth s.  Returns (band, mass):
-    band (s+1, s(N-1)) is the lower band of K~ = M^-1/2 K M^-1/2 in LAPACK
-    storage, band[d, i] = K~[i+d, i], built from the column_blocks
-    stencil; mass is the diagonal of M.
+    Returns (band, mass): band (s+1, s(N-1)) is the lower band of
+    K~ = M^-1/2 K M^-1/2 in LAPACK storage, band[d, i] = K~[i+d, i], from
+    the band of build_steady_operator; mass is the diagonal of M.
     """
     s, N = spec.s, spec.N
-    n = np.arange(1, N)
-    mass = spec.h ** 2 * spec.rho[n % spec.p].ravel()
-    _, onsite, right = column_blocks(spec, n)
-    band = np.zeros((s + 1, N - 1, s))
-    i, j = np.tril_indices(s)
-    band[i - j, :, j] = -onsite[:, i, j].T
-    band[s, :-1] = -right[:-1]   # column n to n+1, n = 1..N-2
-    band = band.reshape(s + 1, -1)
+    mass = spec.h ** 2 * spec.rho[np.arange(1, N) % spec.p].ravel()
+    band = build_steady_operator(spec, N - 1)
     scale = 1.0 / np.sqrt(mass)
     padded = np.concatenate([scale, np.zeros(s)])
     band *= scale * sliding_window_view(padded, mass.size)

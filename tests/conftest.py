@@ -56,21 +56,80 @@ def with_entry(spec, field, value):
     return dataclasses.replace(spec, **{field: arr})
 
 
+def _loop_kappa_plus(spec, m, j):
+    """Total elasticity at mass (m, j), by entry."""
+    p = spec.p
+    return (
+        spec.kappa_long[(m - 1) % p, j]
+        + spec.kappa_long[m % p, j]
+        + spec.kappa_cross[m % p, :, j].sum()
+    )
+
+
+def _loop_steady(spec, rows):
+    """Entry-by-entry quasi-steady equations, the reference for the stencil.
+
+    Row (n, j), n = 1..rows, holds the zero-RHS force balance on mass
+    (n, j) over the masses of columns 0..rows+1 in flat ordering, an
+    (s*rows, s*(rows+2)) matrix whose rows sum to zero.
+    """
+    s = spec.s
+    A = np.zeros((s * rows, s * (rows + 2)))
+    for n in range(1, rows + 1):
+        mn = n % spec.p
+        mp = (n - 1) % spec.p
+        for j in range(s):
+            r = (n - 1) * s + j
+            A[r, (n - 1) * s + j] += spec.kappa_long[mp, j]
+            A[r, (n + 1) * s + j] += spec.kappa_long[mn, j]
+            for i in range(s):
+                if i != j:
+                    A[r, n * s + i] += spec.kappa_cross[mn, i, j]
+            A[r, n * s + j] -= _loop_kappa_plus(spec, n, j)
+    return A
+
+
+def transfer_matrix(spec):
+    """Transfer matrix (x_0, x_1) -> (x_p, x_{p+1}) by one dense solve.
+
+    Its entries grow like the growing modes to the power p, so it is a
+    reference for short cells only.
+    """
+    s = spec.s
+    A = _loop_steady(spec, spec.p)
+    X = np.linalg.solve(A[:, 2 * s:], -A[:, : 2 * s])
+    return np.vstack([np.eye(2 * s), X])[-2 * s:]
+
+
+def lower_band(K, kd):
+    """LAPACK lower band of the symmetric K, band[d, i] = K[i+d, i]."""
+    n = K.shape[0]
+    band = np.zeros((kd + 1, n))
+    for d in range(min(kd + 1, n)):
+        band[d, : n - d] = np.diagonal(K, -d)
+    return band
+
+
+def band_dense(band):
+    """The symmetric matrix whose lower band is `band`."""
+    n = band.shape[1]
+    K = np.diag(band[0])
+    for d in range(1, min(band.shape[0], n)):
+        K += np.diag(band[d, : n - d], -d) + np.diag(band[d, : n - d], d)
+    return K
+
+
 def clamped_dense(spec):
     """Dense clamped stiffness K and mass diagonal from validate's band.
 
     The band holds the lower triangle of M^-1/2 K M^-1/2; this undoes the
-    scaling and fills both triangles.
+    scaling.
     """
     from latticebc.validate import _interior_system
 
     band, mass = _interior_system(spec)
-    n = mass.size
-    scaled = np.diag(band[0])
-    for d in range(1, band.shape[0]):
-        scaled += np.diag(band[d, : n - d], -d) + np.diag(band[d, : n - d], d)
     root = np.sqrt(mass)
-    return root[:, None] * scaled * root[None, :], mass
+    return root[:, None] * band_dense(band) * root[None, :], mass
 
 
 @pytest.fixture

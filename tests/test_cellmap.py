@@ -10,7 +10,6 @@ from latticebc import (
     SpecValidationError,
     UnexpectedSpectrum,
     build_cell_map,
-    build_steady_operator,
     left_end_bc,
     reversed_spec,
 )
@@ -18,7 +17,7 @@ from latticebc.cellmap import _REAL_FLOOR, CENTER_TOL, _boundary_reduction, _lin
 from latticebc import cellmap
 from latticebc.lattice import MicroBCSpec
 
-from conftest import make_spec, random_spec, with_entry
+from conftest import _loop_steady, make_spec, random_spec, transfer_matrix, with_entry
 
 
 @pytest.fixture
@@ -54,7 +53,7 @@ def _reference_cell_map(spec, mp):
     u_0 and the generalized vector, each as float arrays.
     """
     s, p = spec.s, spec.p
-    A = mp.matrix(build_steady_operator(spec).tolist())
+    A = mp.matrix(_loop_steady(spec, p).tolist())
     n = (p - 1) * s
     C = mp.zeros((p + 1) * s, 2 * s)
     for j in range(s):
@@ -113,12 +112,16 @@ def _subspace_gap(X, Y):
 
 
 class TestBuildMap:
-    def test_uniform_chain_map(self, uniform_map):
-        assert np.allclose(uniform_map.T, [[0.0, 1.0], [-1.0, 2.0]])
+    def test_uniform_chain_map(self, uniform_spec, uniform_map):
+        # x_{n+1} = 2 x_n - x_{n-1}: one Jordan block at 1
+        T = transfer_matrix(uniform_spec)
+        assert np.allclose(T, [[0.0, 1.0], [-1.0, 2.0]])
+        assert np.allclose(uniform_map.eigenvalues, np.linalg.eigvals(T), atol=1e-6)
 
     def test_ones_is_fixed(self, demo2x2_spec):
         cm = build_cell_map(demo2x2_spec)
-        assert np.allclose(cm.T @ np.ones(4), np.ones(4), atol=1e-10)
+        T = transfer_matrix(demo2x2_spec)
+        assert np.allclose(T @ cm.center_vector, cm.center_vector, atol=1e-10)
 
     def test_two_strand_matches_block_elimination(self, demo2x2_spec):
         # Solve the first s*p equilibrium rows for the second cell by
@@ -138,8 +141,13 @@ class TestBuildMap:
             [c0, -(k11 + k01 + c0), 0, k01],
         ])
         T_ref = -np.linalg.solve(right, left)
+        T = transfer_matrix(demo2x2_spec)
+        assert np.max(np.abs(T - T_ref)) < 1e-12 * np.max(np.abs(T_ref))
+        # the decaying mode of the pipeline is an eigenvector of T_ref
         cm = build_cell_map(demo2x2_spec)
-        assert np.max(np.abs(cm.T - T_ref)) < 1e-12 * np.max(np.abs(T_ref))
+        v, mu = cm.stable_vectors[:, 0], cm.stable_values[0].real
+        scale = np.max(np.abs(T_ref)) * np.linalg.norm(v)
+        assert np.linalg.norm(T_ref @ v - mu * v) < 1e-12 * scale
 
     def test_eigenvalues_sorted_with_doubled_one(self, demo2x2_spec):
         cm = build_cell_map(demo2x2_spec)
@@ -176,7 +184,7 @@ class TestBuildMap:
         for _ in range(200):
             s, p = int(rng.integers(3, 7)), int(rng.integers(7, 10))
             spec = random_spec(rng, s, p)
-            A = build_steady_operator(spec)
+            A = _loop_steady(spec, p)
             if not 1e8 < np.linalg.cond(A[:, 2 * s:]) <= 1e12:
                 continue
             mu_ref, stable_ref, vg_ref = _reference_cell_map(spec, mp)
@@ -206,9 +214,9 @@ class TestBuildMap:
             assert build_cell_map(specs[i]).spectrum_all_real is False
 
     def test_realness_ignores_values_below_rounding(self):
-        # The (5,150) cell of test_defective_pair_judged_by_its_mean has a
-        # decaying value of about -8e-18, below QZ's absolute resolution:
-        # its sign is noise and must not decide the verdict.
+        # This (5,150) cell has a decaying value of about -8e-18, below
+        # QZ's absolute resolution: its sign is noise and must not decide
+        # the verdict.
         cm = build_cell_map(random_spec(np.random.default_rng(0), 5, 150))
         tiny = cm.stable_values[np.abs(cm.stable_values) <= _REAL_FLOOR]
         assert tiny.size and np.any(tiny.real < 0.0)
@@ -270,16 +278,18 @@ class TestLapackPath:
 
     @pytest.mark.parametrize("size,what", [(2, "clamped cell interior"), (1, "Jordan-partner block")])
     def test_failed_lu_is_typed(self, demo2x2_spec, monkeypatch, size, what):
-        # On demo-2x2 the interior solve is 2 x 2 and the Jordan-partner
-        # block 1 x 1; a nonzero info from either dgesv is a SingularSolve.
-        real = cellmap.dgesv
+        # On demo-2x2 the clamped interior is 2 x 2, solved by banded
+        # Cholesky (dpbsv), and the Jordan-partner block 1 x 1, by LU
+        # (dgesv); a nonzero info from either is a SingularSolve.
+        routine = {2: "dpbsv", 1: "dgesv"}[size]
+        real = getattr(cellmap, routine)
 
-        def failing(a, b):
-            lu, piv, x, info = real(a, b)
-            return lu, piv, x, (2 if a.shape[0] == size else info)
+        def failing(*args, **kwargs):
+            *out, info = real(*args, **kwargs)
+            return (*out, 2)
 
-        monkeypatch.setattr(cellmap, "dgesv", failing)
-        with pytest.raises(SingularSolve, match=f"{what} is singular .dgesv info 2"):
+        monkeypatch.setattr(cellmap, routine, failing)
+        with pytest.raises(SingularSolve, match=f"{what} is .*{routine} info 2"):
             build_cell_map(demo2x2_spec)
 
     def test_isolated_interior_mass_is_typed(self):
@@ -323,15 +333,15 @@ class TestStructure:
 class TestClassify:
     def test_single_strand_counts(self, uniform_map):
         assert uniform_map.stable_values.size == 0
-        assert uniform_map.unstable_values.size == 0
+        assert uniform_map.eigenvalues[2:].size == 0
         assert np.allclose(uniform_map.eigenvalues, [1.0, 1.0])
 
     def test_demo_counts(self, demo2x2_spec):
         cm = build_cell_map(demo2x2_spec)
         assert cm.stable_values.size == 1
-        assert cm.unstable_values.size == 1
+        assert cm.eigenvalues[3:].size == 1
         assert 0 < cm.stable_values[0].real < 1
-        assert cm.unstable_values[0].real > 1
+        assert cm.eigenvalues[3].real > 1
         assert cm.spectrum_all_real
 
     def test_random_connected_counts(self):
@@ -342,13 +352,14 @@ class TestClassify:
             spec = random_spec(rng, s, p)
             cm = build_cell_map(spec)
             assert cm.stable_values.size == s - 1
-            assert cm.unstable_values.size == s - 1
+            assert cm.eigenvalues[s + 1:].size == s - 1
+            assert np.all(np.abs(cm.eigenvalues[s + 1:]) > 1)
 
     def test_defective_pair_judged_by_its_mean(self):
         # On long cells rounding splits the doubled eigenvalue by more
         # than twice the centre tolerance, while its mean stays at 1.
         rng = np.random.default_rng(0)
-        cm = build_cell_map(random_spec(rng, 5, 150))
+        cm = build_cell_map(random_spec(rng, 5, 250))
         pair = cm.eigenvalues[4:6]
         assert abs(pair[0] - pair[1]) > 2 * CENTER_TOL
         assert abs(pair.mean() - 1.0) < 1e-10
@@ -400,7 +411,8 @@ class TestJordanChain:
 
     def test_defining_property(self, demo2x2_spec):
         cm = build_cell_map(demo2x2_spec)
-        res = (cm.T - np.eye(4)) @ cm.generalized_vector - np.ones(4)
+        T = transfer_matrix(demo2x2_spec)
+        res = (T - np.eye(4)) @ cm.generalized_vector - np.ones(4)
         assert np.linalg.norm(res) < 1e-9
 
     def test_gauge_fixed_representative(self, demo2x2_spec):
@@ -408,17 +420,19 @@ class TestJordanChain:
         vg = cm.generalized_vector
         assert vg[0] == 0.0
         shifted = vg + 5.0
-        assert np.allclose((cm.T - np.eye(4)) @ shifted, np.ones(4))
+        T = transfer_matrix(demo2x2_spec)
+        assert np.allclose((T - np.eye(4)) @ shifted, np.ones(4))
 
     def test_build_map_consistent_with_direct_solve(self, demo2x2_spec):
         cm = build_cell_map(demo2x2_spec)
-        assert np.allclose(cm.generalized_vector, _jordan_reference(cm.T), atol=1e-9)
+        T = transfer_matrix(demo2x2_spec)
+        assert np.allclose(cm.generalized_vector, _jordan_reference(T), atol=1e-9)
 
 
 def _forward_columns(spec, u0, columns):
     """Continue columns 0 and 1 through the steady equations, column by column."""
     s = spec.s
-    A = build_steady_operator(spec, rows=max(columns - 2, 1))
+    A = _loop_steady(spec, max(columns - 2, 1))
     x = list(np.asarray(u0, dtype=float).reshape(2, s))
     for n in range(columns - 2):
         a = A[n * s: (n + 1) * s]
@@ -441,13 +455,12 @@ class TestReconstruct:
     def test_consistent_with_map_step(self):
         rng = np.random.default_rng(14)
         spec = random_spec(rng, 2, 3)
-        cm = build_cell_map(spec)
         u0 = rng.standard_normal(4)
         full = _forward_columns(spec, u0, spec.p + 2)
         C = _boundary_reduction(spec)[0]
         ends = np.concatenate([full[:2], full[spec.p * 2: spec.p * 2 + 2]])
         assert np.allclose(C @ ends, full[: spec.p * 2 + 2], atol=1e-10 * np.abs(full).max())
-        assert np.allclose(full[spec.p * 2:], cm.T @ u0, atol=1e-10 * max(1, np.abs(full).max()))
+        assert np.allclose(full[spec.p * 2:], transfer_matrix(spec) @ u0, atol=1e-10 * max(1, np.abs(full).max()))
 
     def test_first_cell_gen_matches_reconstruction(self, demo2x2_spec):
         rng = np.random.default_rng(15)

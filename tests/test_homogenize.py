@@ -102,6 +102,14 @@ class TestDispersion:
             sm = construct_slow_manifold(spec)
             assert dispersion_fit(spec) == pytest.approx(sm.c, rel=1e-4)
 
+    def test_long_cell_resolved(self):
+        # A (10, 64) cell of the long-cell ladder, contrast 0.5-2: lambda_0
+        # at k ~ 1e-3/(p h) lies near the generalized solver's resolution,
+        # and a plain mean of lambda_0/k^2 misses c by 4.3e-5.
+        spec = random_spec(np.random.default_rng(0), 10, 64, lo=0.5, hi=2.0, N=640)
+        sm = construct_slow_manifold(spec)
+        assert dispersion_fit(spec) == pytest.approx(sm.c, rel=1e-6)
+
 
 class TestCertificates:
     def test_residual_and_constraints(self):

@@ -18,7 +18,7 @@ from latticebc import (
     validate_spec,
 )
 
-from conftest import make_spec, random_spec
+from conftest import _loop_kappa_plus, _loop_steady, band_dense, lower_band, make_spec, random_spec
 
 
 def spec_strategy(max_s=3, max_p=4):
@@ -175,45 +175,43 @@ class TestZeroMode:
 
 class TestSteadyOperator:
     def test_uniform_row(self, uniform_spec):
-        A = build_steady_operator(uniform_spec, rows=1)
-        assert np.allclose(A, [[1.0, -2.0, 1.0]])
+        # one mass between two clamped ones: K = [[2]]
+        band = build_steady_operator(uniform_spec, rows=1)
+        assert np.allclose(band, [[2.0], [0.0]])
 
     def test_two_strand_rows(self, demo2x2_spec):
-        # first s*p equilibrium rows, columns over masses n = 0..3;
+        # K over masses n = 1, 2 with n = 0 and 3 clamped;
         # kl = [[2, .5], [.1, 5]], cross = (1, .1) per column
         k00, k01, k10, k11 = 2.0, 0.5, 0.1, 5.0
         c0, c1 = 1.0, 0.1
         expected = np.array([
-            [k00, 0, -(k00 + k10 + c1), c1, k10, 0, 0, 0],
-            [0, k01, c1, -(k01 + k11 + c1), 0, k11, 0, 0],
-            [0, 0, k10, 0, -(k10 + k00 + c0), c0, k00, 0],
-            [0, 0, 0, k11, c0, -(k11 + k01 + c0), 0, k01],
+            [k00 + k10 + c1, k01 + k11 + c1, k10 + k00 + c0, k11 + k01 + c0],
+            [-c1, 0, -c0, 0],
+            [-k10, -k11, 0, 0],
         ])
         assert np.allclose(build_steady_operator(demo2x2_spec, rows=2), expected)
 
     @given(spec_strategy())
     @settings(max_examples=25, deadline=None)
     def test_row_sums_zero(self, spec):
-        A = build_steady_operator(spec)
-        assert np.max(np.abs(A.sum(axis=1))) < 1e-12 * max(1.0, np.abs(A).max())
+        # With the clamped columns 0 and p+1 included every row sums to
+        # zero, so K 1 is the springs into them.
+        s, p = spec.s, spec.p
+        K = band_dense(build_steady_operator(spec, rows=p))
+        to_clamped = np.zeros((p, s))
+        to_clamped[0] += spec.kappa_long[0]
+        to_clamped[-1] += spec.kappa_long[0]
+        defect = np.abs(K.sum(axis=1) - to_clamped.ravel()).max()
+        assert defect < 1e-12 * max(1.0, np.abs(K).max())
 
     def test_domain_size(self, demo2x2_spec):
         N, s = demo2x2_spec.N, demo2x2_spec.s
-        A = build_steady_operator(demo2x2_spec, rows=N - 1)
-        assert A.shape == (s * (N - 1), s * (N + 1))
+        band = build_steady_operator(demo2x2_spec, rows=N - 1)
+        assert band.shape == (s + 1, s * (N - 1))
 
     def test_rejects_no_rows(self, uniform_spec):
         with pytest.raises(ValueError):
             build_steady_operator(uniform_spec, rows=0)
-
-
-def _loop_kappa_plus(spec, m, j):
-    p = spec.p
-    return (
-        spec.kappa_long[(m - 1) % p, j]
-        + spec.kappa_long[m % p, j]
-        + spec.kappa_cross[m % p, :, j].sum()
-    )
 
 
 def _loop_periodic(spec, epos, eneg, dtype):
@@ -232,23 +230,6 @@ def _loop_periodic(spec, epos, eneg, dtype):
             L[r, ((m + 1) % p) * s + j] += spec.kappa_long[m, j] * epos
             L[r, ((m - 1) % p) * s + j] += spec.kappa_long[(m - 1) % p, j] * eneg
     return L
-
-
-def _loop_steady(spec, rows):
-    s = spec.s
-    A = np.zeros((s * rows, s * (rows + 2)))
-    for n in range(1, rows + 1):
-        mn = n % spec.p
-        mp = (n - 1) % spec.p
-        for j in range(s):
-            r = (n - 1) * s + j
-            A[r, (n - 1) * s + j] += spec.kappa_long[mp, j]
-            A[r, (n + 1) * s + j] += spec.kappa_long[mn, j]
-            for i in range(s):
-                if i != j:
-                    A[r, n * s + i] += spec.kappa_cross[mn, i, j]
-            A[r, n * s + j] -= _loop_kappa_plus(spec, n, j)
-    return A
 
 
 class TestStencilMatchesLoops:
@@ -274,9 +255,8 @@ class TestStencilMatchesLoops:
                                    complex),
                 )
                 for rows in (1, 3, 2 * p + 1):
-                    assert np.array_equal(
-                        build_steady_operator(spec, rows=rows), _loop_steady(spec, rows)
-                    )
+                    K = -_loop_steady(spec, rows)[:, s: (rows + 1) * s]
+                    assert np.array_equal(build_steady_operator(spec, rows=rows), lower_band(K, s))
 
 
 class TestReversal:
@@ -284,15 +264,11 @@ class TestReversal:
         rng = np.random.default_rng(5)
         spec = random_spec(rng, 2, 3, N=7)
         N, s = spec.N, spec.s
-        A = build_steady_operator(spec, rows=N - 1)
-        A_rev = build_steady_operator(reversed_spec(spec), rows=N - 1)
-        # reversed equation n' corresponds to original equation N - n',
-        # reversed column block n' to original block N - n'
-        row_perm = np.concatenate(
-            [np.arange((N - 1 - n) * s, (N - n) * s) for n in range(1, N)]
-        )
-        col_perm = np.concatenate([np.arange((N - n) * s, (N - n + 1) * s) for n in range(N + 1)])
-        assert np.allclose(A_rev, A[np.ix_(row_perm, col_perm)])
+        K = band_dense(build_steady_operator(spec, rows=N - 1))
+        K_rev = band_dense(build_steady_operator(reversed_spec(spec), rows=N - 1))
+        # reversed mass (n', j) is original mass (N - n', j)
+        perm = np.concatenate([np.arange((N - 1 - n) * s, (N - n) * s) for n in range(1, N)])
+        assert np.allclose(K_rev, K[np.ix_(perm, perm)])
 
     def test_involution(self):
         rng = np.random.default_rng(6)
