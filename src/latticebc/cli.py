@@ -1,11 +1,12 @@
 """Command-line front end: config ingestion, presets, result emission.
 
-Subcommands: homogenize | derive-bc | validate | dispersion | spectrum.
-Configurations come from a JSON file (--config) or a builtin preset
-(--preset), with --h/--N/--tol overrides winning over either source.
-All outputs are deterministic: floats are printed with 17 significant
-digits, field order is fixed, CSV uses '.' decimals, ',' separators and
-LF line endings.
+Subcommands: homogenize | derive-bc | validate | dispersion | spectrum,
+one entry each in COMMANDS.  Configurations come from a JSON file
+(--config) or a builtin preset (--preset), with --h/--N/--tol overrides
+winning over either source.  The report is printed to stdout and written
+to report.json.  All outputs are deterministic: floats are printed with
+17 significant digits, field order is fixed, CSV uses '.' decimals, ','
+separators and LF line endings.
 """
 
 from __future__ import annotations
@@ -128,7 +129,6 @@ class RunConfig:
     micro_bc_left: MicroBCSpec
     micro_bc_right: MicroBCSpec
     output_dir: Path = Path(".")
-    format: str = "json"
     tolerances: dict = field(default_factory=lambda: dict(TOLERANCE_DEFAULTS))
     reference: dict = field(default_factory=dict)
 
@@ -192,15 +192,11 @@ def config_from_dict(cfg: dict, overrides: dict | None = None) -> RunConfig:
             )
         tol[name] = float(value)
     out_dir = Path(overrides.get("out") or cfg.get("output_dir", "."))
-    fmt = overrides.get("format") or cfg.get("format", "json")
-    if fmt not in ("json", "csv"):
-        raise ConfigParseError(f"format must be json or csv, got {fmt!r}")
     return RunConfig(
         spec=spec,
         micro_bc_left=_parse_micro_bc(cfg.get("micro_bc_left"), spec.s, "left"),
         micro_bc_right=_parse_micro_bc(cfg.get("micro_bc_right"), spec.s, "right"),
         output_dir=out_dir,
-        format=fmt,
         tolerances=tol,
         reference=dict(cfg.get("reference", {})),
     )
@@ -262,7 +258,7 @@ def write_csv(path: Path, header, rows) -> None:
     path.write_text("\n".join(lines) + "\n", newline="\n")
 
 
-def _macro_bc_dict(mb) -> dict:
+def _macro_bc_dict(mb, h: float) -> dict:
     if mb is None:
         return None
     out = {"kind": mb.kind.value, "side": mb.side}
@@ -271,7 +267,7 @@ def _macro_bc_dict(mb) -> dict:
         out["value_weights"] = list(mb.value_weights)
         out["slope_weights"] = list(mb.slope_weights)
     else:
-        out["d_over_h"] = None if mb.d is None else mb.d
+        out["d_over_h"] = None if mb.d is None else mb.d / h
         out["rhs_weights"] = list(mb.rhs_weights)
     out["rhs_labels"] = list(mb.rhs_labels)
     return out
@@ -317,13 +313,10 @@ def cmd_derive_bc(cfg: RunConfig) -> dict:
         right = boundary.right_end_bc(spec, cfg.micro_bc_right, center_tol, null_tol)
     report = {
         "command": "derive-bc",
-        "left": _macro_bc_dict(left),
-        "right": _macro_bc_dict(right),
+        "left": _macro_bc_dict(left, spec.h),
+        "right": _macro_bc_dict(right, spec.h),
         "h": spec.h,
     }
-    for key, mb in (("left", left), ("right", right)):
-        if mb is not None and mb.d is not None:
-            report[key]["d_over_h"] = mb.d / spec.h
     if spec.s == 2 and spec.p == 2 and cfg.micro_bc_left.kind == BCKind.DIRICHLET:
         cf = boundary.closed_form_bc(BCKind.DIRICHLET, cm, spec)
         report["closed_form_left"] = {
@@ -423,53 +416,50 @@ def _parse_tol_args(pairs) -> dict:
     return out
 
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = {
+    "homogenize": cmd_homogenize,
+    "derive-bc": cmd_derive_bc,
+    "validate": cmd_validate,
+    "dispersion": cmd_dispersion,
+    "spectrum": cmd_spectrum,
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    shared = argparse.ArgumentParser(add_help=False)
+    src = shared.add_mutually_exclusive_group(required=True)
+    src.add_argument("--config", help="JSON configuration file")
+    src.add_argument("--preset", help="builtin preset: demo-2x2 | demo-5x10")
+    shared.add_argument("--h", type=float, help="lattice spacing override")
+    shared.add_argument("--N", type=int, help="interval count override")
+    shared.add_argument("--out", help="output directory (default: .)")
+    shared.add_argument("--tol", action="append", metavar="NAME=VALUE")
     ap = argparse.ArgumentParser(
         prog="latticebc",
         description="Homogenized wave coefficients and derived macroscale "
         "boundary conditions for periodic spring-mass lattices.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in ("homogenize", "derive-bc", "validate", "dispersion", "spectrum"):
-        p = sub.add_parser(name)
-        src = p.add_mutually_exclusive_group(required=True)
-        src.add_argument("--config", help="JSON configuration file")
-        src.add_argument("--preset", help="builtin preset: demo-2x2 | demo-5x10")
-        p.add_argument("--h", type=float, default=None, help="lattice spacing override")
-        p.add_argument("--N", type=int, default=None, help="interval count override")
-        p.add_argument("--out", default=None, help="output directory (default: .)")
-        p.add_argument("--format", choices=("json", "csv"), default=None)
-        p.add_argument("--tol", action="append", metavar="NAME=VALUE")
-        if name == "dispersion":
-            p.add_argument("--k", action="append", type=float, default=None,
-                           help="wavenumber sample (repeatable)")
+    for name in COMMANDS:
+        sub.add_parser(name, parents=[shared])
+    sub.choices["dispersion"].add_argument(
+        "--k", action="append", type=float, help="wavenumber sample (repeatable)")
     return ap
 
 
+PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
-        overrides = {
-            "h": args.h,
-            "N": args.N,
-            "out": args.out,
-            "format": args.format,
-            "tol": _parse_tol_args(args.tol),
-        }
+        overrides = {"h": args.h, "N": args.N, "out": args.out, "tol": _parse_tol_args(args.tol)}
         if args.config:
             cfg = parse_config(args.config, overrides)
         else:
             cfg = config_from_dict(preset_config(args.preset, h=args.h), overrides)
-        if args.command == "homogenize":
-            report = cmd_homogenize(cfg)
-        elif args.command == "derive-bc":
-            report = cmd_derive_bc(cfg)
-        elif args.command == "validate":
-            report = cmd_validate(cfg)
-        elif args.command == "dispersion":
-            report = cmd_dispersion(cfg, args.k or [])
-        else:
-            report = cmd_spectrum(cfg)
+        extra = (args.k or [],) if args.command == "dispersion" else ()
+        report = COMMANDS[args.command](cfg, *extra)
     except LatticeError as exc:
         # One line per error, however its message (say an array repr) wraps.
         print(f"error: {exc.code}: {' '.join(str(exc).split())}", file=sys.stderr)
@@ -477,8 +467,7 @@ def main(argv=None) -> int:
     text = emit_json(report) + "\n"
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     (cfg.output_dir / "report.json").write_text(text, newline="\n")
-    if cfg.format == "json":
-        sys.stdout.write(text)
+    sys.stdout.write(text)
     return 0
 
 

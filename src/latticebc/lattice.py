@@ -160,20 +160,20 @@ def validate_spec(spec: LatticeSpec) -> list:
         v.append(f"kappa_cross shape {spec.kappa_cross.shape} != ({p}, {s}, {s})")
     if v:
         return v
-    for m in range(p):
-        for j in range(s):
-            if not spec.kappa_long[m, j] > 0:
-                v.append(f"nonpositive longitudinal elasticity kappa_long[{m}][{j}]")
-            if not spec.rho[m, j] > 0:
-                v.append(f"nonpositive density rho[{m}][{j}]")
-    for m in range(p):
-        kc = spec.kappa_cross[m]
-        if not np.array_equal(kc, kc.T):
-            v.append(f"asymmetric cross elasticity at column {m}")
-        if np.any(np.diag(kc) != 0.0):
-            v.append(f"nonzero self elasticity at column {m}")
-        if np.any(kc < 0.0):
-            v.append(f"negative cross elasticity at column {m}")
+    # One message per broken entry (m, j), then per broken column m of
+    # kappa_cross; argwhere keeps (column, strand) order.
+    entry = ("nonpositive longitudinal elasticity kappa_long", "nonpositive density rho")
+    bad = np.stack([spec.kappa_long, spec.rho], axis=-1) <= 0
+    v += [f"{entry[k]}[{m}][{j}]" for m, j, k in np.argwhere(bad)]
+    kc = spec.kappa_cross
+    column = ("asymmetric cross elasticity", "nonzero self elasticity",
+              "negative cross elasticity")
+    bad = np.stack([
+        (kc != np.swapaxes(kc, 1, 2)).any(axis=(1, 2)),
+        (np.diagonal(kc, axis1=1, axis2=2) != 0.0).any(axis=1),
+        (kc < 0.0).any(axis=(1, 2)),
+    ], axis=-1)
+    v += [f"{column[k]} at column {m}" for m, k in np.argwhere(bad)]
     return v
 
 

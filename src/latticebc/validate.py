@@ -30,6 +30,8 @@ from .errors import EigenSolveError, KindUnsupported, NoRootInBracket, SpecValid
 from .homogenize import SlowManifold
 from .lattice import LatticeSpec, build_B, build_L0, build_steady_operator
 
+N_RAYLEIGH = 10   # random Rayleigh quotients of spectrum_checks (seeded)
+
 
 @dataclass
 class ModeComparison:
@@ -169,7 +171,7 @@ def macroscale_slowest_mode(c: float, L: float, bc0: MacroBC, bcL: MacroBC, x_gr
 
     Modes have the form U = sin(q x + phi) with lambda = c q^2.  The left
     condition fixes phi(q); the right condition becomes a scalar root
-    problem in q, solved by bracket scanning and bisection for the
+    problem in q, solved by bracket scanning and Brent's method for the
     smallest positive root below 3 pi / L.
     """
     if not c > 0:
@@ -190,19 +192,12 @@ def macroscale_slowest_mode(c: float, L: float, bc0: MacroBC, bcL: MacroBC, x_gr
     sign_change = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
     if sign_change.size == 0:
         raise NoRootInBracket(f"no macroscale eigen-root in (0, {q_hi:g})")
+    # Imported on first use: scipy.optimize adds about half again to the
+    # package's import time, and only this function needs it.
+    from scipy.optimize import brentq
+
     i = sign_change[0]
-    lo, hi = qs[i], qs[i + 1]
-    g_lo = g(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        g_mid = g(mid)
-        if g_lo * g_mid <= 0:
-            hi = mid
-        else:
-            lo, g_lo = mid, g_mid
-    root = 0.5 * (lo + hi)
+    root = brentq(g, qs[i], qs[i + 1], xtol=1e-300, rtol=4 * np.finfo(float).eps)
     x = np.asarray(x_grid, dtype=float)
     mode = np.sin(root * x + phi(root))
     return float(c * root ** 2), mode
@@ -273,7 +268,7 @@ def compare_modes(spec: LatticeSpec, sm: SlowManifold, bc0: MacroBC, bcL: MacroB
     )
 
 
-def spectrum_checks(spec: LatticeSpec, n_rayleigh: int = 10) -> SpectrumReport:
+def spectrum_checks(spec: LatticeSpec) -> SpectrumReport:
     """Property suite for the cell operator pair (-L_0, B)."""
     L0 = build_L0(spec)
     B = build_B(spec)
@@ -288,7 +283,7 @@ def spectrum_checks(spec: LatticeSpec, n_rayleigh: int = 10) -> SpectrumReport:
     gap = float(lam[1] - lam[0]) if lam.size > 1 else np.inf
     rng = np.random.default_rng(0)
     quotients = []
-    for _ in range(n_rayleigh):
+    for _ in range(N_RAYLEIGH):
         v = rng.standard_normal(L0.shape[0])
         quotients.append(float(v @ (-L0) @ v / (v @ B @ v)))
     return SpectrumReport(

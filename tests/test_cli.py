@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from latticebc.cli import (
+    COMMANDS,
     DEMO5_CANDIDATE_H,
     cmd_derive_bc,
     cmd_dispersion,
@@ -226,12 +227,24 @@ class TestDeterminism:
 
 
 class TestMainEntry:
-    def test_success_exit_code(self, tmp_path, capsys):
-        rc = main(["homogenize", "--preset", "demo-2x2", "--out", str(tmp_path)])
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_success_exit_code(self, tmp_path, capsys, command):
+        rc = main([command, "--preset", "demo-2x2", "--out", str(tmp_path)])
         assert rc == 0
         out = capsys.readouterr().out
-        assert json.loads(out)["command"] == "homogenize"
-        assert (tmp_path / "report.json").exists()
+        assert json.loads(out)["command"] == command
+        assert (tmp_path / "report.json").read_bytes() == out.encode()
+
+    @pytest.mark.parametrize("argv", [
+        ["homogenize", "--preset", "demo-2x2", "--format", "csv"],
+        ["homogenize", "--preset", "demo-2x2", "--k", "1"],
+    ], ids=["format-removed", "k-only-on-dispersion"])
+    def test_usage_error_exit_code(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
 
     def test_error_exit_code_and_single_line(self, tmp_path, capsys):
         rc = main(["homogenize", "--preset", "demo-5x10", "--out", str(tmp_path)])

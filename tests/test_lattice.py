@@ -63,6 +63,53 @@ class TestValidateSpec:
         spec = make_spec(1, 1, [[1.0]], np.zeros((1, 1, 1)), [[-1.0]])
         assert any("density" in v for v in validate_spec(spec))
 
+    def test_every_broken_entry_named(self):
+        kc = np.zeros((3, 2, 2))
+        kc[0, 0, 1] = 1.0                      # asymmetric at column 0
+        kc[1] = [[0.5, -1.0], [-1.0, 0.0]]     # self and negative at column 1
+        kl = [[1.0, 0.0], [1.0, 1.0], [-2.0, -0.5]]
+        rho = [[1.0, 1.0], [0.0, 1.0], [1.0, -1.0]]
+        spec = make_spec(2, 3, kl, kc, rho)
+        # one message per broken entry, in (column, strand) order
+        assert validate_spec(spec) == [
+            "nonpositive longitudinal elasticity kappa_long[0][1]",
+            "nonpositive density rho[1][0]",
+            "nonpositive longitudinal elasticity kappa_long[2][0]",
+            "nonpositive longitudinal elasticity kappa_long[2][1]",
+            "nonpositive density rho[2][1]",
+            "asymmetric cross elasticity at column 0",
+            "nonzero self elasticity at column 1",
+            "negative cross elasticity at column 1",
+        ]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_entry_loops(self, seed):
+        # the per-entry loops validate_spec replaced, as the reference
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            s, p = rng.integers(1, 5, size=2)
+            kl, rho = rng.choice([1.0, 0.0, -1.0], size=(2, p, s), p=[0.8, 0.1, 0.1])
+            kc = rng.choice([0.0, 1.0, -1.0], size=(p, s, s), p=[0.45, 0.45, 0.1])
+            if rng.random() < 0.5:
+                kc = kc + np.swapaxes(kc, 1, 2)
+            want = []
+            for m in range(p):
+                for j in range(s):
+                    if not kl[m, j] > 0:
+                        want.append(f"nonpositive longitudinal elasticity kappa_long[{m}][{j}]")
+                    if not rho[m, j] > 0:
+                        want.append(f"nonpositive density rho[{m}][{j}]")
+            for m in range(p):
+                if not np.array_equal(kc[m], kc[m].T):
+                    want.append(f"asymmetric cross elasticity at column {m}")
+                if np.any(np.diag(kc[m]) != 0.0):
+                    want.append(f"nonzero self elasticity at column {m}")
+                if np.any(kc[m] < 0.0):
+                    want.append(f"negative cross elasticity at column {m}")
+            spec = LatticeSpec(s=int(s), p=int(p), h=1.0, N=8,
+                               kappa_long=kl, kappa_cross=kc, rho=rho)
+            assert validate_spec(spec) == want
+
 
 class TestMassMatrix:
     def test_uniform(self, uniform_spec):
