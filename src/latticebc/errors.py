@@ -70,6 +70,7 @@ class NoRootInBracket(LatticeError):
 
 class EigenSolveError(LatticeError):
     """An eigensolve failed: the cell map's QZ, the constraint SVD, a
-    dispersion solve, or the microscale solve (banded Cholesky or ARPACK)."""
+    dispersion solve, or the microscale solve (a banded Cholesky factor or
+    solve, the iteration's cap, or the certificate of the smallest mode)."""
 
     code = "EigenSolveError"

@@ -19,11 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg.blas import dsbmv
 from scipy.linalg.lapack import dpbtrf, dpbtrs
-from scipy.sparse.linalg import LinearOperator
 
 from .boundary import MacroBC, MacroBCKind
 from .errors import EigenSolveError, KindUnsupported, NoRootInBracket, SpecValidationError
@@ -31,6 +29,8 @@ from .homogenize import SlowManifold
 from .lattice import LatticeSpec, build_B, build_L0, build_steady_operator
 
 N_RAYLEIGH = 10   # random Rayleigh quotients of spectrum_checks (seeded)
+MAX_SOLVES = 60   # cap of the inverse iteration in microscale_slowest_mode
+CERTIFIED_REL = 1e-8   # relative width of the certified lambda_min bracket
 
 
 @dataclass
@@ -99,18 +99,35 @@ def _interior_system(spec: LatticeSpec):
     return band, mass
 
 
-def microscale_slowest_mode(spec: LatticeSpec):
-    """Smallest eigenpair of the clamped microscale lattice.
+def _shifted_factor(band: np.ndarray, sigma: float):
+    """dpbtrf of the band with sigma taken off its diagonal: (factor, info)."""
+    shifted = np.array(band, order="F")
+    shifted[0] -= sigma
+    return dpbtrf(shifted, lower=1, overwrite_ab=1)
 
-    K = -S is symmetric positive definite for a valid spec (positive
-    longitudinal springs, both ends clamped), so the slowest mode is the
-    eigenvalue nearest zero: shift-invert at sigma = 0 finds it alone.
-    It runs in standard mode on K~ = M^-1/2 K M^-1/2, which has the same
-    eigenvalues, with one banded Cholesky factor of K~ as the inverse;
-    the vector maps back by w = M^-1/2 v~.  K~ keeps the non-positive
-    off-diagonals of K, so its lowest eigenvector can be taken
-    non-negative and the positive start vector sqrt(mass) always
-    overlaps it.
+
+def microscale_slowest_mode(spec: LatticeSpec):
+    """Smallest eigenpair of the clamped microscale lattice, certified.
+
+    K = -S is symmetric positive definite for a valid spec, so the
+    slowest mode is the lowest eigenpair of K~ = M^-1/2 K M^-1/2 (the
+    eigenvalues of the pencil (K, M); w = M^-1/2 v~).  It comes from
+    inverse iteration on banded Cholesky factors of K~ - sigma I
+    (Parlett, The Symmetric Eigenvalue Problem, ch. 4) from sigma = 0
+    and sqrt(mass).  K~ keeps the non-positive off-diagonals of K, so its
+    lowest eigenvector is non-negative and that positive start overlaps it.
+
+    Each iterate x gives theta = x^T K~ x and r = ||K~x - theta x||.  The
+    shift moves to theta - 2r when that at least halves theta - sigma and
+    dpbtrf succeeds there, which proves the shift lies below lambda_min;
+    after a failed factor the shift bisects between success and failure.
+    The loop stops when r = 0, or when r <= 64 eps times the Gershgorin
+    bound of K~ and no longer halves, and keeps the iterate of least r.
+    Before returning, a factor at some sigma >= lambda (1 - 1e-8) must
+    succeed (one more dpbtrf if needed), so lambda_min lies in
+    (sigma, lambda] up to rounding.  A failed first factor, MAX_SOLVES
+    solves, a dpbtrs info != 0 or a failed certificate (rounding in K~,
+    ~eps ||K~||, above 1e-8 lambda) raise EigenSolveError.
 
     Returns (lambda, w, residual): w of shape (N+1, s), zero at n = 0
     and N, and the relative eigenpair residual
@@ -119,39 +136,59 @@ def microscale_slowest_mode(spec: LatticeSpec):
     if spec.N < 2:
         raise ValueError(f"need N >= 2 intervals, got {spec.N}")
     band, mass = _interior_system(spec)
-    size = mass.size
+    band = np.asfortranarray(band)
     root = np.sqrt(mass)
-
-    def apply(v):
-        return dsbmv(spec.s, 1.0, band, v, lower=1)
-
-    try:
-        if size <= 2:  # ARPACK needs k < n
-            lam, vecs = scipy.linalg.eig_banded(band, lower=True, select="i", select_range=(0, 0))
-        else:
-            factor, info = dpbtrf(band, lower=1)
-            if info != 0:
-                raise EigenSolveError(
-                    "microscale eigensolve failed: the clamped stiffness is not positive "
-                    f"definite (dpbtrf info {info})"
-                )
-
-            def solve(v):
-                x, info = dpbtrs(factor, v, lower=1)
-                if info != 0:
-                    raise EigenSolveError(f"microscale eigensolve failed (dpbtrs info {info})")
-                return x
-
-            lam, vecs = scipy.sparse.linalg.eigsh(
-                LinearOperator((size, size), matvec=apply, dtype=float),
-                k=1, sigma=0, v0=root,
-                OPinv=LinearOperator((size, size), matvec=solve, dtype=float),
+    factor, info = _shifted_factor(band, 0.0)
+    if info != 0:
+        raise EigenSolveError(
+            "microscale eigensolve failed: the clamped stiffness is not positive "
+            f"definite (dpbtrf info {info})"
+        )
+    # row sums of |K~|, the Gershgorin bound of its spectrum
+    gershgorin = dsbmv(spec.s, 1.0, np.abs(band), np.ones(mass.size), lower=1).max()
+    tol = 64 * np.finfo(float).eps * gershgorin
+    sigma, x = 0.0, root / np.linalg.norm(root)
+    # sigma < lambda_min <= fail: dpbtrf succeeded at sigma and failed at fail
+    best, r_prev, fail = None, np.inf, np.inf
+    for _ in range(MAX_SOLVES):
+        y, info = dpbtrs(factor, x, lower=1)
+        if info != 0:
+            raise EigenSolveError(f"microscale eigensolve failed (dpbtrs info {info})")
+        x = y / np.linalg.norm(y)
+        Kx = dsbmv(spec.s, 1.0, band, x, lower=1)
+        theta = float(x @ Kx)
+        r = float(np.linalg.norm(Kx - theta * x))
+        if best is None or r < best[0]:
+            best = (r, theta, x, Kx)
+        if r == 0.0 or (r <= tol and r > r_prev / 2):
+            break
+        r_prev = r
+        # An iterate still near a higher mode of a close cluster puts
+        # theta - 2r above lambda_min; bisecting (sigma, fail) then brings
+        # the shift below lambda_min, where that mode dies out fast.
+        shift = theta - 2 * r if theta - 2 * r < fail else (sigma + fail) / 2
+        if 2 * shift >= sigma + min(theta, fail):  # halves the bracket
+            trial, info = _shifted_factor(band, shift)
+            if info == 0:
+                factor, sigma = trial, shift
+            else:
+                fail = shift
+    else:
+        raise EigenSolveError(
+            f"microscale eigensolve failed: no convergence in {MAX_SOLVES} solves "
+            f"(residual {best[0]:.3e}, tolerance {tol:.3e})"
+        )
+    _, lam, v, Kv = best
+    floor = lam * (1 - CERTIFIED_REL)
+    if sigma < floor:
+        info = _shifted_factor(band, floor)[1]
+        if info != 0:
+            raise EigenSolveError(
+                f"microscale eigensolve failed: lambda = {lam:.17g} is not certified smallest "
+                f"(dpbtrf info {info} at sigma = {floor:.17g})"
             )
-    except (RuntimeError, np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-        raise EigenSolveError(f"microscale eigensolve failed: {exc}") from exc
-    lam, v = float(lam[0]), vecs[:, 0]
     # Kw = M^1/2 K~ v~ and Mw = M^1/2 v~
-    Kw, Mw = root * apply(v), root * v
+    Kw, Mw = root * Kv, root * v
     residual = np.linalg.norm(Kw - lam * Mw) / (np.linalg.norm(Kw) + abs(lam) * np.linalg.norm(Mw))
     w = np.zeros((spec.N + 1, spec.s))
     w[1: spec.N, :] = (v / root).reshape(spec.N - 1, spec.s)

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import latticebc
 from latticebc.cli import (
     COMMANDS,
     DEMO5_CANDIDATE_H,
@@ -377,3 +382,15 @@ class TestMainEntry:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["left"]["kind"] == "robin"
         assert report["reference"]["d0_over_h"] == pytest.approx(0.058)
+
+
+def test_import_leaves_out_sparse_and_optimize():
+    # Each costs tens of milliseconds of start-up on every CLI call;
+    # scipy.optimize is imported on first use by macroscale_slowest_mode.
+    src = str(Path(latticebc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, latticebc; "
+            "print(sorted(m for m in ('scipy.sparse.linalg', 'scipy.optimize') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert out.strip() == "[]"

@@ -3,7 +3,6 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse.linalg
 
 from latticebc import (
     MacroBC,
@@ -16,7 +15,9 @@ from latticebc import (
     microscale_slowest_mode,
     right_end_bc,
     spectrum_checks,
+    validate,
 )
+from latticebc.errors import EigenSolveError
 from conftest import clamped_dense, make_spec, random_spec, with_entry
 
 
@@ -97,6 +98,18 @@ def loop_stiffness(spec):
     return K
 
 
+def count_solves(monkeypatch):
+    """Record every dpbtrs call of microscale_slowest_mode."""
+    real, calls = validate.dpbtrs, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(validate, "dpbtrs", counted)
+    return calls
+
+
 def unit_avg(w):
     avg = w.mean(axis=1)
     return avg / np.linalg.norm(avg)
@@ -123,17 +136,21 @@ class TestSparseEigensolve:
                 n = np.arange(1, spec.N)
                 assert np.array_equal(mass, spec.h ** 2 * spec.rho[n % p].ravel())
 
-    def test_weakly_coupled_strands(self):
-        # three strands differing by 1e-3 and joined by 1e-9 springs: their
-        # slowest modes form a cluster ~1e-4 wide that shift-invert must
-        # resolve
-        s, p, N = 3, 2, 200
+    @pytest.mark.parametrize("s,N", [(3, 200), (8, 100), (20, 60)])
+    def test_weakly_coupled_strands(self, s, N, monkeypatch):
+        # s strands differing by 1e-3 and joined by 1e-9 springs: their
+        # slowest modes form a cluster ~1e-4 wide that the shifted
+        # iteration must resolve, in few solves however many strands
+        rng = np.random.default_rng(s)
+        p = 2
         cross = np.full((p, s, s), 1e-9)
         cross[:, np.arange(s), np.arange(s)] = 0.0
-        kl = np.array([[1.0, 1.001, 1.002], [0.9, 0.901, 0.899]])
-        rho = np.array([[1.0, 1.001, 0.999], [1.0, 0.999, 1.002]])
+        kl = np.array([[1.0], [0.9]]) + 1e-3 * rng.uniform(-1, 1, (p, s))
+        rho = 1.0 + 1e-3 * rng.uniform(-1, 1, (p, s))
         spec = make_spec(s, p, kl, cross, rho, N=N)
+        solves = count_solves(monkeypatch)
         lam, w, residual = microscale_slowest_mode(spec)
+        assert len(solves) <= 20
         K = loop_stiffness(spec)
         mass = spec.h ** 2 * spec.rho[np.arange(1, N) % p].ravel()
         lam_ref = scipy.linalg.eigh(K, np.diag(mass), eigvals_only=True, subset_by_index=[0, 0])[0]
@@ -143,6 +160,31 @@ class TestSparseEigensolve:
         assert np.linalg.norm(Kw - lam * Mw) / (np.linalg.norm(Kw) + lam * np.linalg.norm(Mw)) <= 1e-10
         assert residual <= 1e-10
 
+    @pytest.mark.parametrize("contrast", [100.0, 1e4])
+    def test_start_favouring_a_higher_mode(self, contrast, monkeypatch):
+        # Two nearly decoupled strands: the heavy one's slowest mode is
+        # 1e-3 above the light one's, and the start vector sqrt(mass)
+        # weighs it sqrt(contrast) times more.  theta - 2r then lies above
+        # lambda_min, dpbtrf refuses those shifts, and the shift must be
+        # found by bisection instead.
+        cross = np.full((1, 2, 2), 1e-9)
+        cross[0, 0, 0] = cross[0, 1, 1] = 0.0
+        spec = make_spec(2, 1, [[1.001 * contrast, 1.0]], cross, [[contrast, 1.0]], N=100)
+        solves = count_solves(monkeypatch)
+        lam, w, residual = microscale_slowest_mode(spec)
+        assert len(solves) <= 20
+        lam_ref, _ = dense_slowest(spec)
+        assert lam == pytest.approx(lam_ref, rel=1e-9)
+        assert residual <= 1e-10
+        assert np.abs(w[:, 0]).max() < 1e-4 * np.abs(w[:, 1]).max()
+
+    def test_long_demo_domain_takes_few_solves(self, demo2x2_spec, monkeypatch):
+        spec = dataclasses.replace(demo2x2_spec, N=1000)
+        solves = count_solves(monkeypatch)
+        lam, _, residual = microscale_slowest_mode(spec)
+        assert len(solves) <= 10
+        assert 0.0 < lam and residual <= 1e-9
+
     def test_agrees_with_dense_on_random_lattices(self):
         rng = np.random.default_rng(2024)
         for _ in range(50):
@@ -151,6 +193,9 @@ class TestSparseEigensolve:
             lam, w, _ = microscale_slowest_mode(spec)
             lam_ref, w_ref = dense_slowest(spec)
             assert lam == pytest.approx(lam_ref, rel=1e-9)
+            # the certified bracket [lam (1 - 1e-8), lam], whose upper end
+            # holds up to the rounding of the two solvers
+            assert lam * (1 - 1e-8) <= lam_ref <= lam * (1 + 1e-10)
             a, b = unit_avg(w[1:-1]), unit_avg(w_ref)
             assert np.max(np.abs(a - np.sign(a @ b) * b)) < 1e-8
             assert np.all(w[0] == 0.0) and np.all(w[-1] == 0.0)
@@ -179,21 +224,35 @@ class TestSparseEigensolve:
         assert np.max(np.abs(shape - ref)) < 1e-8
         assert np.allclose(w, w[:, :1], atol=1e-8 * np.abs(w).max())
 
-    def test_arpack_failure_is_typed(self, demo2x2_spec, monkeypatch):
-        from scipy.sparse.linalg import ArpackNoConvergence
-
-        from latticebc.errors import EigenSolveError
-
-        def fail(*args, **kwargs):
-            raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((30, 0)))
-
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
-        with pytest.raises(EigenSolveError):
+    def test_solve_cap_is_typed(self, demo2x2_spec, monkeypatch):
+        monkeypatch.setattr(validate, "MAX_SOLVES", 2)
+        with pytest.raises(EigenSolveError, match="no convergence in 2 solves"):
             microscale_slowest_mode(demo2x2_spec)
 
-    def test_cholesky_failure_is_typed(self, demo2x2_spec):
-        from latticebc.errors import EigenSolveError
+    def test_solve_failure_is_typed(self, demo2x2_spec, monkeypatch):
+        def failing(factor, x, **kwargs):
+            return x, -2
 
+        monkeypatch.setattr(validate, "dpbtrs", failing)
+        with pytest.raises(EigenSolveError, match="dpbtrs info -2"):
+            microscale_slowest_mode(demo2x2_spec)
+
+    def test_certificate_failure_is_typed(self, demo2x2_spec, monkeypatch):
+        # Every factor after the unshifted one fails, so the iteration
+        # converges at sigma = 0 and the certificate factor fails too.
+        real, calls = validate.dpbtrf, []
+
+        def only_first(band, **kwargs):
+            calls.append(1)
+            factor, info = real(band, **kwargs)
+            return factor, info if len(calls) == 1 else 1
+
+        monkeypatch.setattr(validate, "dpbtrf", only_first)
+        with pytest.raises(EigenSolveError, match="not certified smallest"):
+            microscale_slowest_mode(demo2x2_spec)
+        assert len(calls) > 2
+
+    def test_cholesky_failure_is_typed(self, demo2x2_spec):
         # A negative spring makes the clamped stiffness indefinite, so the
         # banded Cholesky factor stops with dpbtrf info > 0.
         with pytest.raises(EigenSolveError, match="dpbtrf info 1"):
