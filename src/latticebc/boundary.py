@@ -319,7 +319,9 @@ def right_end_bc(
     the reversed coordinate d/dx' = -d/dx, so the derivative coefficient
     changes sign when transforming back.  Boundary data conventions are
     mirror images of the left-end ones (differences point into the
-    domain), so values pass through unchanged.
+    domain), so values pass through unchanged.  When N % p == 0 the
+    reversed lattice is the whole cell read backwards, and its cell map
+    comes from the memo that a left-end build of spec leaves behind.
     """
     return _mirror(left_end_bc(reversed_spec(spec), MicroBCSpec(bc.kind, bc.values, "right"),
                                center_tol, null_tol))

@@ -19,6 +19,13 @@ on u_0 = (x_0, x_1), the first two columns, as the boundary
 construction needs them.  The reduction solves a clamped two-sided
 problem, conditioned like the stiffness, so it stays accurate where the
 growing modes pass the range of double precision.
+
+Reversing the whole-cell lattice swaps E and G, so its decaying modes
+are this lattice's growing ones, read from column p backwards.  Each
+build therefore also forms the reversed lattice's cell map from the same
+reduction and QZ, and keeps it for the next call: a right end after a
+left end (``right_end_bc`` on an N with N % p == 0) costs no second
+solve.  The memo holds one lattice only.
 """
 
 from __future__ import annotations
@@ -51,7 +58,7 @@ _IMAG_TOL = 1e-7
 _REAL_FLOOR = 1e3 * np.finfo(float).eps
 
 
-@dataclass
+@dataclass(frozen=True)
 class CellMap:
     """Classified eigen-structure of the cell map, on u_0 = (x_0, x_1).
 
@@ -59,7 +66,8 @@ class CellMap:
     multi-strand lattices can produce genuine complex conjugate pairs
     (decaying oscillatory boundary layers); `spectrum_all_real` records
     which case occurred.  `stable_vectors` spans the real invariant
-    subspace either way.
+    subspace either way.  A map may be handed out again from the memo,
+    so it holds read-only views of its arrays.
     """
 
     eigenvalues: np.ndarray          # all 2s, ascending by modulus
@@ -69,6 +77,13 @@ class CellMap:
     generalized_vector: np.ndarray   # advances by 1 per cell, first component 0
     first_cell_gen: np.ndarray       # the same mode on columns 0..p-1
     spectrum_all_real: bool = True
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, np.ndarray):
+                view = value.view()
+                view.setflags(write=False)
+                object.__setattr__(self, name, view)
 
     @property
     def s(self) -> int:
@@ -128,15 +143,37 @@ def _linearisation(E, F, G):
     return L, M
 
 
+# (key, CellMap) of the reversed whole-cell lattice of the last
+# successful build, or None.
+_reversed = None
+
+
+def _key(s: int, p: int, center_tol: float, kappa_long, kappa_cross) -> tuple:
+    """What a cell map depends on: the elasticities, not rho, h or N."""
+    return (s, p, center_tol, kappa_long.tobytes(), kappa_cross.tobytes())
+
+
+def _reset_memo() -> None:
+    global _reversed
+    _reversed = None
+
+
 def build_cell_map(spec: LatticeSpec, center_tol: float = CENTER_TOL) -> CellMap:
     """Solve the cell-boundary quadratic and classify its eigen-structure.
 
     Raises UnexpectedSpectrum unless the mean of the pair at modulus
     positions s-1, s lies within center_tol of 1 and every other
     eigenvalue lies farther from 1, and NoJordanChain when the doubled
-    eigenvalue carries no generalized eigenvector.
+    eigenvalue carries no generalized eigenvector.  A lattice whose
+    elasticities are the reversal of the previous build's is served from
+    the memo.
     """
+    global _reversed
     s, p = spec.s, spec.p
+    key = _key(s, p, center_tol, spec.kappa_long, spec.kappa_cross)
+    memo = _reversed   # read once: another thread may replace it
+    if memo is not None and memo[0] == key:
+        return memo[1]
     C, E, F, G = _boundary_reduction(spec)
     alphar, alphai, beta, _, Z, _, info = dggev(
         *_linearisation(E, F, G), compute_vl=0, overwrite_a=1, overwrite_b=1
@@ -156,10 +193,6 @@ def build_cell_map(spec: LatticeSpec, center_tol: float = CENTER_TOL) -> CellMap
             f"expected a doubled eigenvalue at 1 at modulus positions {s - 1}, {s}: {mu}"
         )
     stable = mu[: s - 1]
-    # LAPACK stores a conjugate pair's eigenvector z as the columns
-    # (Re z, Im z), which span the pair's real invariant plane.  Unit
-    # columns fix the gauge instead of LAPACK's largest-component scaling.
-    Zr = Z[:, : s - 1] / np.linalg.norm(Z[:, : s - 1], axis=0)
 
     # Jordan partner x_{kp} = w + k*1, gauged by w[0] = 0.
     K = E + F + G
@@ -179,15 +212,34 @@ def build_cell_map(spec: LatticeSpec, center_tol: float = CENTER_TOL) -> CellMap
     # below any absolute imaginary-part floor and still be genuinely
     # complex), on the values above _REAL_FLOOR only.
     judged = stable[np.abs(stable) > _REAL_FLOOR]
-    return CellMap(
-        eigenvalues=np.concatenate([stable, mu[s - 1: s + 1], 1.0 / stable[::-1]]),
-        stable_values=stable,
-        stable_vectors=C[: 2 * s] @ Zr,
-        center_vector=np.ones(2 * s),
-        generalized_vector=gen[: 2 * s],
-        first_cell_gen=gen[: p * s],
-        spectrum_all_real=bool(
-            np.all(np.abs(judged.imag) <= _IMAG_TOL * np.abs(judged))
-            and np.all(judged.real > 0.0)
-        ),
+    eigenvalues = np.concatenate([stable, mu[s - 1: s + 1], 1.0 / stable[::-1]])
+    all_real = bool(np.all(np.abs(judged.imag) <= _IMAG_TOL * np.abs(judged))
+                    and np.all(judged.real > 0.0))
+
+    def classified(C, modes, gen):
+        # LAPACK stores a conjugate pair's eigenvector z as the columns
+        # (Re z, Im z), which span the pair's real invariant plane.  Unit
+        # columns fix the gauge instead of LAPACK's largest-component
+        # scaling.
+        return CellMap(
+            eigenvalues=eigenvalues,
+            stable_values=stable,
+            stable_vectors=C[: 2 * s] @ (modes / np.linalg.norm(modes, axis=0)),
+            center_vector=np.ones(2 * s),
+            generalized_vector=gen[: 2 * s],
+            first_cell_gen=gen[: p * s],
+            spectrum_all_real=all_real,
+        )
+
+    # The reversed lattice sees columns p..0 of this cell as its 0..p.
+    # The pairing mu <-> 1/mu makes its decaying modes the growing ones
+    # here, in reverse order (its eigenvalues and verdict are the same),
+    # and its Jordan partner is -gen, re-gauged to first entry 0.
+    m = np.arange(p)
+    back = gen.reshape(p + 1, s)[::-1].ravel()
+    _reversed = (
+        _key(s, p, center_tol, spec.kappa_long[(-m - 1) % p], spec.kappa_cross[-m % p]),
+        classified(C.reshape(p + 1, s, 2 * s)[::-1].reshape(-1, 2 * s), Z[:, :s:-1],
+                   back[0] - back),
     )
+    return classified(C, Z[:, : s - 1], gen)

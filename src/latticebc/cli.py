@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -191,14 +192,19 @@ def config_from_dict(cfg: dict, overrides: dict | None = None) -> RunConfig:
                 f"tolerance {name} must be a positive finite number, got {value!r}"
             )
         tol[name] = float(value)
-    out_dir = Path(overrides.get("out") or cfg.get("output_dir", "."))
+    out_dir = overrides.get("out") or cfg.get("output_dir", ".")
+    if not isinstance(out_dir, (str, os.PathLike)):
+        raise ConfigParseError(f"output_dir must be a path string, got {out_dir!r}")
+    reference = cfg.get("reference", {})
+    if not isinstance(reference, dict):
+        raise ConfigParseError(f"reference must be an object of NAME: VALUE, got {reference!r}")
     return RunConfig(
         spec=spec,
         micro_bc_left=_parse_micro_bc(cfg.get("micro_bc_left"), spec.s, "left"),
         micro_bc_right=_parse_micro_bc(cfg.get("micro_bc_right"), spec.s, "right"),
-        output_dir=out_dir,
+        output_dir=Path(out_dir),
         tolerances=tol,
-        reference=dict(cfg.get("reference", {})),
+        reference=dict(reference),
     )
 
 

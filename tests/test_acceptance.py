@@ -36,6 +36,7 @@ from latticebc import (
     reversed_spec,
     spectrum_checks,
 )
+from latticebc import cellmap
 from latticebc.boundary import MacroBC
 from latticebc.cli import DEMO5_CANDIDATE_H, config_from_dict, preset_config
 
@@ -281,6 +282,7 @@ def test_criterion_6_five_strand_reference_case(demo5x10):
     assert bc0.d == pytest.approx(d_ref, rel=1e-9)
     assert np.allclose(bc0.rhs_weights, w_ref, rtol=1e-9, atol=1e-12)
     rspec = reversed_spec(spec)
+    cellmap._reset_memo()   # a cold reversed build, not the memo of cm_left's
     d_ref_r, w_ref_r = _independent_bc_rederivation(rspec, build_cell_map(rspec))
     assert bcL.d == pytest.approx(-d_ref_r, rel=1e-9)
     assert np.allclose(bcL.rhs_weights, w_ref_r, rtol=1e-9, atol=1e-12)

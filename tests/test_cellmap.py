@@ -14,7 +14,7 @@ from latticebc import (
     reversed_spec,
 )
 from latticebc.cellmap import _REAL_FLOOR, CENTER_TOL, _boundary_reduction, _linearisation
-from latticebc import cellmap
+from latticebc import boundary, cellmap
 from latticebc.lattice import MicroBCSpec
 
 from conftest import _loop_steady, make_spec, random_spec, transfer_matrix, with_entry
@@ -325,6 +325,7 @@ class TestStructure:
             s, p = int(rng.integers(5, 7)), int(rng.integers(10, 13))
             spec = random_spec(rng, s, p, lo=1e-3, hi=100.0)
             for end in (spec, reversed_spec(spec)):
+                cellmap._reset_memo()   # the reversed end is meant as a cold build
                 cm = build_cell_map(end)
                 assert cm.stable_values.size == s - 1
                 assert np.all(np.abs(cm.stable_values) < 1.0)
@@ -468,3 +469,138 @@ class TestReconstruct:
             cm = build_cell_map(spec)
             rec = _forward_columns(spec, cm.generalized_vector, max(spec.p, 2))
             assert np.allclose(cm.first_cell_gen, rec[: spec.n_cell], atol=1e-9)
+
+
+def _quartet_spec():
+    """The first draw of test_complex_quartets_are_reciprocal_conjugate
+    whose decaying values include a complex pair (criterion 3's case)."""
+    rng = np.random.default_rng(3)
+    while True:
+        spec = random_spec(rng, int(rng.integers(3, 6)), int(rng.integers(2, 6)),
+                           lo=1e-3, hi=100.0)
+        if not build_cell_map(spec).spectrum_all_real:
+            return spec
+
+
+@pytest.fixture
+def qz_calls(monkeypatch):
+    """Counts the cell-pencil QZs, one per cold build."""
+    calls = []
+    real = cellmap.dggev
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cellmap, "dggev", counting)
+    cellmap._reset_memo()
+    yield calls
+    cellmap._reset_memo()
+
+
+def _micro_bcs(s):
+    return [MicroBCSpec.dirichlet_zero(s, "right"),
+            MicroBCSpec("flux", np.linspace(-1.0, 1.0, s), "right"),
+            MicroBCSpec("robin_like", np.column_stack([np.full(s, 0.3), np.ones(s)]), "right")]
+
+
+class TestReversedMemo:
+    """build_cell_map also forms the reversed lattice's map off its
+    growing modes; right_end_bc after left_end_bc then needs no QZ."""
+
+    @pytest.mark.parametrize("case", [
+        "phase0", "phase1", "phase2", "phase3", "p1", "s1", "quartets"])
+    def test_hit_matches_cold_build(self, case, qz_calls):
+        rng = np.random.default_rng(8)
+        if case.startswith("phase"):
+            spec = random_spec(rng, 3, 4, N=12 + int(case[-1]))
+        elif case == "p1":
+            spec = random_spec(rng, 3, 1, N=9)
+        elif case == "s1":
+            spec = random_spec(rng, 1, 3, N=9)
+        else:
+            spec = _quartet_spec()
+            spec = dataclasses.replace(spec, N=3 * spec.p)
+        for bc in _micro_bcs(spec.s):
+            cellmap._reset_memo()
+            cold = boundary.right_end_bc(spec, bc)
+            cellmap._reset_memo()
+            build_cell_map(spec)
+            before = len(qz_calls)
+            warm = boundary.right_end_bc(spec, bc)
+            # Only the phase-0 reversal is the one the build memoises.
+            assert len(qz_calls) - before == int(spec.N % spec.p != 0)
+            # d near 0 carries an absolute rounding error of order eps*h.
+            if cold.d is None:
+                assert warm.d is None
+            else:
+                assert warm.d == pytest.approx(cold.d, rel=1e-11, abs=1e-11 * spec.h)
+            scale = np.abs(cold.rhs_weights).max()
+            assert np.abs(warm.rhs_weights - cold.rhs_weights).max() <= 1e-11 * scale
+
+    def test_hit_serves_the_same_subspaces(self, qz_calls):
+        spec = _quartet_spec()
+        spec = dataclasses.replace(spec, N=2 * spec.p)
+        rspec = reversed_spec(spec)
+        cellmap._reset_memo()
+        cold = build_cell_map(rspec)
+        cellmap._reset_memo()
+        before = len(qz_calls)
+        build_cell_map(spec)
+        warm = build_cell_map(rspec)
+        assert len(qz_calls) - before == 1
+        assert _subspace_gap(warm.stable_vectors, cold.stable_vectors) < 1e-10
+        assert np.allclose(warm.first_cell_gen, cold.first_cell_gen, rtol=0, atol=1e-12)
+        assert warm.generalized_vector[0] == 0.0
+        assert warm.spectrum_all_real == cold.spectrum_all_real is False
+
+    @pytest.mark.parametrize("change", ["kappa_cross", "center_tol"])
+    def test_changed_elasticity_or_tolerance_misses(self, change, qz_calls):
+        spec = random_spec(np.random.default_rng(9), 3, 4, N=8)
+        rspec = reversed_spec(spec)
+        center_tol = CENTER_TOL
+        if change == "kappa_cross":
+            kc = rspec.kappa_cross.copy()
+            kc[1, 0, 2] = kc[1, 2, 0] = np.nextafter(kc[1, 0, 2], np.inf)
+            rspec = dataclasses.replace(rspec, kappa_cross=kc)
+        else:
+            center_tol = 2.0 * CENTER_TOL
+        build_cell_map(spec)
+        build_cell_map(rspec, center_tol)
+        assert len(qz_calls) == 2
+
+    @pytest.mark.parametrize("field", ["rho", "h", "N"])
+    def test_density_spacing_and_length_hit(self, field, qz_calls):
+        spec = random_spec(np.random.default_rng(10), 3, 4, N=8)
+        rspec = reversed_spec(spec)
+        value = {"rho": 0.5 * rspec.rho, "h": 0.25, "N": 9}[field]
+        build_cell_map(spec)
+        cm = build_cell_map(dataclasses.replace(rspec, **{field: value}))
+        assert len(qz_calls) == 1
+        assert cm.stable_values.size == 2
+
+    def test_raising_build_caches_nothing(self, demo2x2_spec, monkeypatch, qz_calls):
+        # The Jordan-partner solve is the last step that can raise.
+        real = cellmap.dgesv
+
+        def failing(*args, **kwargs):
+            *out, info = real(*args, **kwargs)
+            return (*out, 1)
+
+        monkeypatch.setattr(cellmap, "dgesv", failing)
+        with pytest.raises(SingularSolve):
+            build_cell_map(demo2x2_spec)
+        monkeypatch.setattr(cellmap, "dgesv", real)
+        build_cell_map(reversed_spec(dataclasses.replace(demo2x2_spec, N=8)))
+        assert len(qz_calls) == 2
+
+    def test_map_is_read_only(self, demo2x2_spec, qz_calls):
+        spec = dataclasses.replace(demo2x2_spec, N=8)
+        for cm in (build_cell_map(spec), build_cell_map(reversed_spec(spec))):
+            for name in ("eigenvalues", "stable_values", "stable_vectors", "center_vector",
+                         "generalized_vector", "first_cell_gen"):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(cm, name)[0] = 7.0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                cm.spectrum_all_real = False
+        assert len(qz_calls) == 1

@@ -325,6 +325,22 @@ class TestMainEntry:
         assert err.count("\n") == 1
         assert err.startswith(f"error: ParseError: micro_bc_{side} ")
 
+    @pytest.mark.parametrize("key,value,match", [
+        ("reference", 5, "reference must be an object"),
+        ("reference", [1, 2], "reference must be an object"),
+        ("output_dir", 5, "output_dir must be a path string"),
+    ])
+    def test_mistyped_config_field_rejected(self, tmp_path, capsys, key, value, match):
+        # Each used to end in a raw TypeError traceback.  No --out, so
+        # output_dir is read from the file.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(preset_config("demo-2x2"), **{key: value})))
+        rc = main(["derive-bc", "--config", str(path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: ParseError: {match}")
+
     def test_tolerance_flag(self, tmp_path, capsys):
         rc = main([
             "homogenize", "--preset", "demo-2x2", "--out", str(tmp_path),
