@@ -103,8 +103,6 @@ def assemble_constraints(
 ) -> ConstraintSystem:
     """Build the (s+2) x (s+1) constraint system (s+3 rows for mixed)."""
     s, p, h = spec.s, spec.p, spec.h
-    if not (np.isfinite(h) and h > 0):
-        raise SpecValidationError([f"spacing h={h} must be positive and finite"])
     if cm.s != s:
         raise SpecValidationError([f"cell map is for {cm.s} strands, spec has {s}"])
     if bc.kind in (BCKind.CAUCHY_LIKE, BCKind.MIXED) and s != 2:
@@ -228,8 +226,8 @@ def closed_form_bc(
             f"closed forms require s = 2, p = 2, got s = {spec.s}, p = {spec.p}"
         )
     _check_mixed_side(kind, side)
-    labels = MicroBCSpec(kind, values, side).data_rows(2, spec.h)[2]
-    mb = _closed_form_left(kind, cm, spec.h, values, labels)
+    bc = MicroBCSpec(kind, () if values is None else values, side)
+    mb = _closed_form_left(kind, cm, spec.h, bc.values, bc.data_rows(2, spec.h)[2])
     return _mirror(mb) if side == "right" else mb
 
 
@@ -248,7 +246,6 @@ def _closed_form_left(kind: BCKind, cm: CellMap, h: float, values, labels) -> Ma
         return MacroBC(MacroBCKind.NEUMANN, "left", None, weights, labels)
 
     if kind == BCKind.ROBIN_LIKE:
-        values = np.asarray(values, dtype=float)
         d00, d01 = values[0, 0], values[1, 0]
         a1 = h * v1[0] + d00 * (v1[2] - v1[0])
         a2 = h * v1[1] + d01 * (v1[3] - v1[1])

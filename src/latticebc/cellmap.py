@@ -35,14 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgesv, dggev, dpbsv
 
-from .errors import (
-    EigenSolveError,
-    NoJordanChain,
-    SingularSolve,
-    SpecValidationError,
-    UnexpectedSpectrum,
-)
-from .lattice import LatticeSpec, build_steady_operator, column_blocks
+from .errors import EigenSolveError, NoJordanChain, SingularSolve, UnexpectedSpectrum
+from .lattice import LatticeSpec, _reversal_maps, build_steady_operator, column_blocks
 
 # The doubled eigenvalue 1 is defective: rounding splits it by
 # O(sqrt(delta)) but moves its mean only by O(delta), so the pair passes
@@ -105,9 +99,6 @@ def _boundary_reduction(spec: LatticeSpec):
     # also joins column 0 to column 1 and its left one column p-1 to p.
     left, onsite, right = column_blocks(spec, p)
     band = build_steady_operator(spec, p - 1) if n else np.zeros(0)
-    # Neither the solve below nor the QZ checks its input.
-    if not (np.isfinite(onsite).all() and np.isfinite(band).all()):
-        raise SpecValidationError(["non-finite elasticity"])
     C = np.zeros(((p + 1) * s, 2 * s))
     C[:s, :s] = np.eye(s)
     C[p * s:, s:] = np.eye(s)
@@ -234,11 +225,12 @@ def build_cell_map(spec: LatticeSpec, center_tol: float = CENTER_TOL) -> CellMap
     # The reversed lattice sees columns p..0 of this cell as its 0..p.
     # The pairing mu <-> 1/mu makes its decaying modes the growing ones
     # here, in reverse order (its eigenvalues and verdict are the same),
-    # and its Jordan partner is -gen, re-gauged to first entry 0.
-    m = np.arange(p)
+    # and its Jordan partner is -gen, re-gauged to first entry 0.  It is
+    # the reversal of this lattice on any N with N % p == 0.
+    spring, point = _reversal_maps(p, 0)
     back = gen.reshape(p + 1, s)[::-1].ravel()
     _reversed = (
-        _key(s, p, center_tol, spec.kappa_long[(-m - 1) % p], spec.kappa_cross[-m % p]),
+        _key(s, p, center_tol, spec.kappa_long[spring], spec.kappa_cross[point]),
         classified(C.reshape(p + 1, s, 2 * s)[::-1].reshape(-1, 2 * s), Z[:, :s:-1],
                    back[0] - back),
     )

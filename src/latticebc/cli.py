@@ -23,7 +23,7 @@ import numpy as np
 
 from . import boundary, cellmap, homogenize, validate
 from .errors import ConfigParseError, LatticeError, SpecValidationError
-from .lattice import BCKind, LatticeSpec, MicroBCSpec, validate_spec
+from .lattice import BCKind, LatticeSpec, MicroBCSpec
 
 TOLERANCE_DEFAULTS = {
     "residual": homogenize.RESIDUAL_TOL,
@@ -138,18 +138,15 @@ def _parse_micro_bc(raw, s: int, side: str) -> MicroBCSpec:
     if raw is None:
         return MicroBCSpec.dirichlet_zero(s, side)
     try:
-        kind = BCKind(raw["kind"])
-        values = np.array(raw.get("values", np.zeros(s)), dtype=float)
+        bc = MicroBCSpec(raw["kind"], raw.get("values", np.zeros(s)), side)
     except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigParseError(f"bad micro_bc_{side}: {exc}") from exc
-    bc = MicroBCSpec(kind, values, side)
+        raise ConfigParseError(f"micro_bc_{side} is malformed: {exc}") from exc
     shape = bc.value_shape(s)
-    if values.shape != shape:
+    if bc.values.shape != shape:
         raise ConfigParseError(
-            f"micro_bc_{side} {kind.value} values must have shape {shape}, got {values.shape}"
+            f"micro_bc_{side} {bc.kind.value} values must have shape {shape}, "
+            f"got {bc.values.shape}"
         )
-    if not np.isfinite(values).all():
-        raise ConfigParseError(f"micro_bc_{side} values must be finite")
     return bc
 
 
@@ -175,9 +172,6 @@ def config_from_dict(cfg: dict, overrides: dict | None = None) -> RunConfig:
         )
     except (TypeError, ValueError) as exc:
         raise ConfigParseError(f"malformed lattice fields: {exc}") from exc
-    violations = validate_spec(spec)
-    if violations:
-        raise SpecValidationError(violations)
     tol = dict(TOLERANCE_DEFAULTS)
     given = cfg.get("tolerances", {})
     if not isinstance(given, dict):

@@ -39,21 +39,8 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
 
-from .errors import (
-    EigenSolveError,
-    KindUnsupported,
-    NotConverged,
-    SingularSolve,
-    SpecValidationError,
-)
-from .lattice import (
-    LatticeSpec,
-    build_B,
-    build_L0,
-    build_Lk,
-    build_Lk_exact,
-    finiteness_violations,
-)
+from .errors import EigenSolveError, KindUnsupported, NotConverged, SingularSolve
+from .lattice import LatticeSpec, build_B, build_Lk, build_Lk_exact
 
 RESIDUAL_TOL = 1e-12
 
@@ -91,13 +78,6 @@ def construct_slow_manifold(
     exact-arithmetic analogue of this iteration terminates at an exact
     zero and floating point needs a scale-aware substitute.
     """
-    # LAPACK does not check its input, and assembly from an infinity can
-    # already make NaNs, so a non-finite spec stops before either.
-    bad = finiteness_violations(spec)
-    if not spec.h > 0:
-        bad.append(f"spacing h={spec.h} must be positive")
-    if bad:
-        raise SpecValidationError(bad)
     n = spec.n_cell
     Bdiag = spec.h ** 2 * spec.rho.reshape(-1)   # the diagonal of build_B
     # L(k) = sum_d kappa^d L_d with kappa = ik and every L_d real, stacked

@@ -24,10 +24,27 @@ and the banded stiffness of the clamped quasi-steady interior.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+
+from .errors import SpecValidationError
+
+
+def _real_array(value):
+    """value as a read-only float array, or None if an entry is not a real
+    number (a bool or a string, say, which np.array would convert)."""
+    if not (isinstance(value, np.ndarray) and value.dtype.kind in "iuf"):
+        value = np.array(value, dtype=object)
+        if not all(issubclass(t, numbers.Real) and not issubclass(t, bool)
+                   for t in set(map(type, value.flat))):
+            return None
+    arr = np.array(value, dtype=float)
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -37,6 +54,11 @@ class LatticeSpec:
     `N` is the number of longitudinal intervals of the finite domain
     (masses sit at n = 0..N); it only enters domain-level computations,
     not the cell-level operators.
+
+    A spec that exists is valid: construction raises TypeError unless s,
+    p and N are integers, h a real number and the arrays hold real
+    numbers only, and SpecValidationError carrying `validate_spec`'s
+    messages when that list is not empty.
     """
 
     s: int
@@ -48,14 +70,22 @@ class LatticeSpec:
     rho: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "s", int(self.s))
-        object.__setattr__(self, "p", int(self.p))
+        for name in ("s", "p", "N"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        if not isinstance(self.h, numbers.Real) or isinstance(self.h, bool):
+            raise TypeError(f"h must be a real number, got {self.h!r}")
         object.__setattr__(self, "h", float(self.h))
-        object.__setattr__(self, "N", int(self.N))
         for name in ("kappa_long", "kappa_cross", "rho"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
+            arr = _real_array(getattr(self, name))
+            if arr is None:
+                raise TypeError(f"{name} must hold real numbers only")
             object.__setattr__(self, name, arr)
+        violations = validate_spec(self)
+        if violations:
+            raise SpecValidationError(violations)
 
     @property
     def n_cell(self) -> int:
@@ -85,6 +115,9 @@ class MicroBCSpec:
                    inward neighbour (two strands only)
       mixed        left: (b[0,0], b[1,0], b[0,1]); right: one datum that
                    adds no condition (two strands only)
+
+    Construction raises ValueError on an unknown kind or side, or on
+    values that are not all finite real numbers.
     """
 
     kind: BCKind
@@ -93,8 +126,9 @@ class MicroBCSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", BCKind(self.kind))
-        arr = np.array(self.values, dtype=float)
-        arr.setflags(write=False)
+        arr = _real_array(self.values)
+        if arr is None or not np.isfinite(arr).all():
+            raise ValueError(f"values must be finite real numbers, got {self.values!r}")
         object.__setattr__(self, "values", arr)
         if self.side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {self.side!r}")
@@ -131,16 +165,15 @@ class MicroBCSpec:
         return MicroBCSpec(BCKind.DIRICHLET, np.zeros(s), side)
 
 
-def finiteness_violations(spec: LatticeSpec) -> list:
-    """One message per parameter of the spec that holds an inf or a NaN."""
-    fields = (("h", spec.h), ("kappa_long", spec.kappa_long),
-              ("kappa_cross", spec.kappa_cross), ("rho", spec.rho))
-    return [f"non-finite {name}" for name, value in fields if not np.isfinite(value).all()]
-
-
 def validate_spec(spec: LatticeSpec) -> list:
-    """Collect invariant violations; empty list means a valid spec."""
-    v = finiteness_violations(spec)
+    """Collect invariant violations; empty list means a valid spec.
+
+    Construction runs this on every spec, so the messages are built only
+    for what is broken.
+    """
+    v = [] if math.isfinite(spec.h) else ["non-finite h"]
+    v += [f"non-finite {name}" for name in ("kappa_long", "kappa_cross", "rho")
+          if not np.isfinite(getattr(spec, name)).all()]
     if spec.s < 1:
         v.append(f"strand count s={spec.s} must be >= 1")
     if spec.p < 1:
@@ -163,17 +196,19 @@ def validate_spec(spec: LatticeSpec) -> list:
     # One message per broken entry (m, j), then per broken column m of
     # kappa_cross; argwhere keeps (column, strand) order.
     entry = ("nonpositive longitudinal elasticity kappa_long", "nonpositive density rho")
-    bad = np.stack([spec.kappa_long, spec.rho], axis=-1) <= 0
-    v += [f"{entry[k]}[{m}][{j}]" for m, j, k in np.argwhere(bad)]
+    bad = np.array([spec.kappa_long <= 0, spec.rho <= 0])
+    if bad.any():
+        v += [f"{entry[k]}[{m}][{j}]" for m, j, k in np.argwhere(np.moveaxis(bad, 0, -1))]
     kc = spec.kappa_cross
     column = ("asymmetric cross elasticity", "nonzero self elasticity",
               "negative cross elasticity")
-    bad = np.stack([
-        (kc != np.swapaxes(kc, 1, 2)).any(axis=(1, 2)),
-        (np.diagonal(kc, axis1=1, axis2=2) != 0.0).any(axis=1),
+    bad = np.array([
+        (kc != kc.transpose(0, 2, 1)).any(axis=(1, 2)),
+        kc.diagonal(0, 1, 2).any(axis=1),
         (kc < 0.0).any(axis=(1, 2)),
-    ], axis=-1)
-    v += [f"{column[k]} at column {m}" for m, k in np.argwhere(bad)]
+    ])
+    if bad.any():
+        v += [f"{column[k]} at column {m}" for m, k in np.argwhere(bad.T)]
     return v
 
 
@@ -235,8 +270,6 @@ def build_Lk(spec: LatticeSpec) -> np.ndarray:
     is Hermitian at real k, and L_0 equals build_L0.
     """
     h = spec.h
-    if not h > 0:
-        raise ValueError(f"spacing h must be positive, got {h}")
     return _periodic_operator(spec, np.array([1.0, h, 0.5 * h * h]),
                               np.array([1.0, -h, 0.5 * h * h]), float)
 
@@ -272,22 +305,27 @@ def build_steady_operator(spec: LatticeSpec, rows: int) -> np.ndarray:
     return band.reshape(s + 1, s * rows)
 
 
-def reversed_spec(spec: LatticeSpec) -> LatticeSpec:
-    """The lattice seen from the right end, n' = N - n.
+def _reversal_maps(p: int, N: int):
+    """Index maps (spring, point) of the lattice seen from n' = N - n.
 
     A longitudinal spring between columns n and n+1 becomes the spring
     between reversed columns N-n-1 and N-n; point quantities at column n
-    move to column N-n.
+    move to column N-n.  Reversed column m takes its spring from cell
+    column spring[m] and its point quantities from point[m].
     """
-    p, N = spec.p, spec.N
-    idx_point = [(N - m) % p for m in range(p)]
-    idx_spring = [(N - m - 1) % p for m in range(p)]
+    m = np.arange(p)
+    return (N - m - 1) % p, (N - m) % p
+
+
+def reversed_spec(spec: LatticeSpec) -> LatticeSpec:
+    """The lattice seen from the right end, n' = N - n."""
+    spring, point = _reversal_maps(spec.p, spec.N)
     return LatticeSpec(
         s=spec.s,
-        p=p,
+        p=spec.p,
         h=spec.h,
-        N=N,
-        kappa_long=spec.kappa_long[idx_spring],
-        kappa_cross=spec.kappa_cross[idx_point],
-        rho=spec.rho[idx_point],
+        N=spec.N,
+        kappa_long=spec.kappa_long[spring],
+        kappa_cross=spec.kappa_cross[point],
+        rho=spec.rho[point],
     )

@@ -133,8 +133,6 @@ def microscale_slowest_mode(spec: LatticeSpec):
     and N, and the relative eigenpair residual
     ||Kw - lambda Mw|| / (||Kw|| + |lambda| ||Mw||).
     """
-    if spec.N < 2:
-        raise ValueError(f"need N >= 2 intervals, got {spec.N}")
     band, mass = _interior_system(spec)
     band = np.asfortranarray(band)
     root = np.sqrt(mass)

@@ -161,12 +161,18 @@ class TestDataRows:
         with pytest.raises(SpecValidationError, match="cell map is for 4 strands"):
             assemble_constraints(cm, MicroBCSpec.dirichlet_zero(2), demo2x2_spec)
 
-    @pytest.mark.parametrize("h", [np.inf, np.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("h,want", [
+        pytest.param(np.inf, ["non-finite h"], id="inf"),
+        pytest.param(np.nan, ["non-finite h", "spacing h=nan must be positive"], id="nan"),
+        pytest.param(0.0, ["spacing h=0.0 must be positive"], id="0.0"),
+        pytest.param(-1.0, ["spacing h=-1.0 must be positive"], id="-1.0"),
+    ])
     @pytest.mark.parametrize("end", [left_end_bc, right_end_bc])
-    def test_invalid_spacing_is_typed(self, demo2x2_spec, end, h):
-        spec = dataclasses.replace(demo2x2_spec, h=h)
-        with pytest.raises(SpecValidationError, match="spacing h="):
-            end(spec, MicroBCSpec.dirichlet_zero(2))
+    def test_invalid_spacing_is_typed(self, demo2x2_spec, end, h, want):
+        # construction rejects the spacing, so neither end sees it
+        with pytest.raises(SpecValidationError) as info:
+            end(dataclasses.replace(demo2x2_spec, h=h), MicroBCSpec.dirichlet_zero(2))
+        assert info.value.violations == want
 
 
 class TestDeriveTwoStrand:

@@ -271,8 +271,8 @@ class TestLapackPath:
     @pytest.mark.parametrize("field", ["kappa_long", "kappa_cross"])
     @pytest.mark.parametrize("value", [np.inf, np.nan])
     def test_nonfinite_elasticity_raises(self, demo2x2_spec, field, value):
-        # The cell map reads only the elasticities; neither the interior
-        # solve nor the QZ checks its input.
+        # Neither the interior solve nor the QZ checks its input;
+        # construction rejects the spec before either.
         with pytest.raises(SpecValidationError, match="non-finite"):
             build_cell_map(with_entry(demo2x2_spec, field, value))
 
@@ -292,10 +292,21 @@ class TestLapackPath:
         with pytest.raises(SingularSolve, match=f"{what} is .*{routine} info 2"):
             build_cell_map(demo2x2_spec)
 
-    def test_isolated_interior_mass_is_typed(self):
-        # Zero springs on both sides of column 2 leave its mass unattached:
-        # the clamped interior is exactly singular.
-        spec = make_spec(1, 4, [[1.0], [0.0], [0.0], [1.0]], np.zeros((4, 1, 1)), np.ones(4))
+    def test_isolated_interior_mass_is_typed(self, monkeypatch):
+        # Zero springs on both sides of column 2 leave its mass unattached.
+        # Construction rejects such a spec, so the interior it would give,
+        # K = diag(1, 0, 1), is handed to the real dpbsv directly; its
+        # exactly singular factor must still raise.
+        with pytest.raises(SpecValidationError) as info:
+            make_spec(1, 4, [[1.0], [0.0], [0.0], [1.0]], np.zeros((4, 1, 1)), np.ones(4))
+        assert info.value.violations == [
+            "nonpositive longitudinal elasticity kappa_long[1][0]",
+            "nonpositive longitudinal elasticity kappa_long[2][0]",
+        ]
+        spec = make_spec(1, 4, np.ones((4, 1)), np.zeros((4, 1, 1)), np.ones(4))
+        monkeypatch.setattr(cellmap, "build_steady_operator",
+                            lambda spec, rows: np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 0.0]]))
+        cellmap._reset_memo()   # a uniform chain is its own reversal
         with pytest.raises(SingularSolve, match="clamped cell interior"):
             build_cell_map(spec)
 

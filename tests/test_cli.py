@@ -329,10 +329,25 @@ class TestMainEntry:
         ("reference", 5, "reference must be an object"),
         ("reference", [1, 2], "reference must be an object"),
         ("output_dir", 5, "output_dir must be a path string"),
+        ("N", 8.9, "malformed lattice fields: N must be an integer"),
+        ("s", "2", "malformed lattice fields: s must be an integer"),
+        ("h", "0.5", "malformed lattice fields: h must be a real number"),
+        ("h", True, "malformed lattice fields: h must be a real number"),
+        ("kappa_long", [[2.0, "0.5"], [0.1, 5.0]], "malformed lattice fields: kappa_long"),
+        ("kappa_long", [[2.0, True], [0.1, 5.0]], "malformed lattice fields: kappa_long"),
+        ("kappa_cross", [[[0.0, "1"], ["1", 0.0]], [[0.0, 0.1], [0.1, 0.0]]],
+         "malformed lattice fields: kappa_cross"),
+        ("kappa_cross", [[[0.0, True], [True, 0.0]], [[0.0, 0.1], [0.1, 0.0]]],
+         "malformed lattice fields: kappa_cross"),
+        ("rho", [[1.0, "2"], [4.0, 0.5]], "malformed lattice fields: rho"),
+        ("rho", [[1.0, 2.0], [True, 0.5]], "malformed lattice fields: rho"),
+        ("micro_bc_left", {"kind": "dirichlet", "values": ["0", "0"]},
+         "micro_bc_left is malformed: values must be finite real numbers"),
     ])
     def test_mistyped_config_field_rejected(self, tmp_path, capsys, key, value, match):
-        # Each used to end in a raw TypeError traceback.  No --out, so
-        # output_dir is read from the file.
+        # The first three used to end in a raw TypeError traceback, the
+        # rest ran with the value converted (N = 8.9 as N = 8, "0.5" as
+        # 0.5, true as 1).  No --out, so output_dir is read from the file.
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(dict(preset_config("demo-2x2"), **{key: value})))
         rc = main(["derive-bc", "--config", str(path)])

@@ -257,13 +257,14 @@ class TestFailureModes:
     @pytest.mark.parametrize("field", ["h", "kappa_long", "kappa_cross", "rho"])
     @pytest.mark.parametrize("value", [np.inf, np.nan])
     def test_nonfinite_spec(self, demo2x2_spec, field, value):
-        # LAPACK's LU does not check its input; the spec is checked first.
+        # LAPACK's LU does not check its input; construction rejects the
+        # spec before it gets there.
         with pytest.raises(SpecValidationError, match=f"non-finite {field}"):
             construct_slow_manifold(with_entry(demo2x2_spec, field, value))
 
     @pytest.mark.parametrize("h", [np.inf, np.nan, 0.0, -1.0])
     def test_invalid_spacing(self, demo2x2_spec, h):
-        # h <= 0 used to reach build_Lk's bare ValueError.
+        # Construction rejects the spacing, so the slow manifold never sees it.
         with pytest.raises(SpecValidationError, match="h"):
             construct_slow_manifold(dataclasses.replace(demo2x2_spec, h=h))
 

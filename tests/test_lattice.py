@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from latticebc import (
     LatticeSpec,
     MicroBCSpec,
+    SpecValidationError,
     build_B,
     build_L0,
     build_Lk,
@@ -32,36 +33,47 @@ def spec_strategy(max_s=3, max_p=4):
     return build()
 
 
+def violations(make, *args, **kwargs):
+    """The messages construction raises, or [] when it succeeds; a spec
+    that constructs has no violations."""
+    try:
+        spec = make(*args, **kwargs)
+    except SpecValidationError as exc:
+        return exc.violations
+    assert validate_spec(spec) == []
+    return []
+
+
 class TestValidateSpec:
     def test_valid_uniform(self, uniform_spec):
         assert validate_spec(uniform_spec) == []
 
     def test_zero_longitudinal_elasticity(self):
-        spec = make_spec(1, 1, [[0.0]], np.zeros((1, 1, 1)), [[1.0]])
-        assert any("longitudinal" in v for v in validate_spec(spec))
+        v = violations(make_spec, 1, 1, [[0.0]], np.zeros((1, 1, 1)), [[1.0]])
+        assert any("longitudinal" in m for m in v)
 
     def test_asymmetric_cross(self):
         kc = np.zeros((1, 2, 2))
         kc[0, 0, 1] = 1.0
-        spec = make_spec(2, 1, [[1.0, 1.0]], kc, [[1.0, 1.0]])
-        assert any("asymmetric" in v for v in validate_spec(spec))
+        v = violations(make_spec, 2, 1, [[1.0, 1.0]], kc, [[1.0, 1.0]])
+        assert any("asymmetric" in m for m in v)
 
     def test_nonzero_self_elasticity(self):
         kc = np.zeros((1, 2, 2))
         kc[0] = [[1.0, 0.5], [0.5, 0.0]]
-        spec = make_spec(2, 1, [[1.0, 1.0]], kc, [[1.0, 1.0]])
-        assert any("self" in v for v in validate_spec(spec))
+        v = violations(make_spec, 2, 1, [[1.0, 1.0]], kc, [[1.0, 1.0]])
+        assert any("self" in m for m in v)
 
     def test_bad_shapes(self):
-        spec = LatticeSpec(s=2, p=2, h=1.0, N=8,
-                           kappa_long=np.ones((2, 1)),
-                           kappa_cross=np.zeros((2, 2, 2)),
-                           rho=np.ones((2, 2)))
-        assert any("shape" in v for v in validate_spec(spec))
+        v = violations(LatticeSpec, s=2, p=2, h=1.0, N=8,
+                       kappa_long=np.ones((2, 1)),
+                       kappa_cross=np.zeros((2, 2, 2)),
+                       rho=np.ones((2, 2)))
+        assert any("shape" in m for m in v)
 
     def test_nonpositive_density(self):
-        spec = make_spec(1, 1, [[1.0]], np.zeros((1, 1, 1)), [[-1.0]])
-        assert any("density" in v for v in validate_spec(spec))
+        v = violations(make_spec, 1, 1, [[1.0]], np.zeros((1, 1, 1)), [[-1.0]])
+        assert any("density" in m for m in v)
 
     def test_every_broken_entry_named(self):
         kc = np.zeros((3, 2, 2))
@@ -69,9 +81,8 @@ class TestValidateSpec:
         kc[1] = [[0.5, -1.0], [-1.0, 0.0]]     # self and negative at column 1
         kl = [[1.0, 0.0], [1.0, 1.0], [-2.0, -0.5]]
         rho = [[1.0, 1.0], [0.0, 1.0], [1.0, -1.0]]
-        spec = make_spec(2, 3, kl, kc, rho)
         # one message per broken entry, in (column, strand) order
-        assert validate_spec(spec) == [
+        assert violations(make_spec, 2, 3, kl, kc, rho) == [
             "nonpositive longitudinal elasticity kappa_long[0][1]",
             "nonpositive density rho[1][0]",
             "nonpositive longitudinal elasticity kappa_long[2][0]",
@@ -84,7 +95,8 @@ class TestValidateSpec:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_entry_loops(self, seed):
-        # the per-entry loops validate_spec replaced, as the reference
+        # the per-entry loops validate_spec replaced, as the reference;
+        # construction succeeds exactly when they find nothing
         rng = np.random.default_rng(seed)
         for _ in range(40):
             s, p = rng.integers(1, 5, size=2)
@@ -106,9 +118,26 @@ class TestValidateSpec:
                     want.append(f"nonzero self elasticity at column {m}")
                 if np.any(kc[m] < 0.0):
                     want.append(f"negative cross elasticity at column {m}")
-            spec = LatticeSpec(s=int(s), p=int(p), h=1.0, N=8,
-                               kappa_long=kl, kappa_cross=kc, rho=rho)
-            assert validate_spec(spec) == want
+            assert violations(LatticeSpec, s=int(s), p=int(p), h=1.0, N=8,
+                              kappa_long=kl, kappa_cross=kc, rho=rho) == want
+
+
+class TestFieldTypes:
+    @pytest.mark.parametrize("field,value", [
+        ("N", 8.9), ("N", True), ("s", "1"), ("p", 1.0), ("h", "0.5"), ("h", True),
+        ("h", None), ("kappa_long", [["1.0"]]), ("kappa_cross", [[[False]]]),
+        ("rho", [[True]]), ("rho", [[1j]]), ("rho", np.ones((1, 1), dtype=bool)),
+    ])
+    def test_wrong_type_raises(self, uniform_spec, field, value):
+        with pytest.raises(TypeError, match=f"^{field} must"):
+            dataclasses.replace(uniform_spec, **{field: value})
+
+    def test_numpy_scalars_construct(self):
+        spec = LatticeSpec(s=np.int64(1), p=np.int32(1), h=np.float32(0.5), N=np.uint16(8),
+                           kappa_long=np.ones((1, 1), dtype=np.int64),
+                           kappa_cross=[[[np.float64(0.0)]]], rho=[[np.int8(2)]])
+        assert (type(spec.s), type(spec.p), type(spec.N), type(spec.h)) == (int, int, int, float)
+        assert spec.h == 0.5 and spec.rho.dtype == float and spec.rho[0, 0] == 2.0
 
 
 class TestMassMatrix:
@@ -198,9 +227,11 @@ class TestLk:
         assert diff(k1) <= 1.05 * max(c_fit, 1e-9) * k1 ** 3 + 1e-15
 
     def test_rejects_nonpositive_spacing(self, uniform_spec):
+        # construction rejects the spacing, so build_Lk never sees it
         for h in (0.0, -1.0):
-            with pytest.raises(ValueError, match="spacing h must be positive"):
+            with pytest.raises(SpecValidationError) as info:
                 build_Lk(dataclasses.replace(uniform_spec, h=h))
+            assert info.value.violations == [f"spacing h={h} must be positive"]
 
     def test_exact_hermitian(self, demo2x2_spec):
         L = build_Lk_exact(demo2x2_spec, 0.7)
@@ -335,3 +366,10 @@ class TestMicroBC:
     def test_bad_side(self):
         with pytest.raises(ValueError):
             MicroBCSpec("dirichlet", np.zeros(2), side="top")
+
+    @pytest.mark.parametrize("values", [
+        ["0", "1"], [True, 0.0], [0.0, np.nan], [[0.1, np.inf], [0.1, 0.0]], None,
+    ])
+    def test_bad_values(self, values):
+        with pytest.raises(ValueError, match="values must be finite real numbers"):
+            MicroBCSpec("dirichlet", values)

@@ -18,7 +18,7 @@ from latticebc import (
     validate,
 )
 from latticebc.errors import EigenSolveError
-from conftest import clamped_dense, make_spec, random_spec, with_entry
+from conftest import clamped_dense, make_spec, random_spec
 
 
 def robin(d, side="left"):
@@ -252,11 +252,18 @@ class TestSparseEigensolve:
             microscale_slowest_mode(demo2x2_spec)
         assert len(calls) > 2
 
-    def test_cholesky_failure_is_typed(self, demo2x2_spec):
-        # A negative spring makes the clamped stiffness indefinite, so the
-        # banded Cholesky factor stops with dpbtrf info > 0.
+    def test_cholesky_failure_is_typed(self, demo2x2_spec, monkeypatch):
+        # Construction keeps a spec's clamped stiffness positive definite;
+        # an unshifted factor that stops with dpbtrf info > 0 anyway must
+        # raise.
+        real = validate.dpbtrf
+
+        def failing(band, **kwargs):
+            return real(band, **kwargs)[0], 1
+
+        monkeypatch.setattr(validate, "dpbtrf", failing)
         with pytest.raises(EigenSolveError, match="dpbtrf info 1"):
-            microscale_slowest_mode(with_entry(demo2x2_spec, "kappa_long", -50.0))
+            microscale_slowest_mode(demo2x2_spec)
 
 
 class TestMacroscale:
