@@ -36,7 +36,7 @@ from enum import Enum
 import numpy as np
 from scipy.linalg.lapack import dgesdd
 
-from .cellmap import CENTER_TOL, CellMap, build_cell_map
+from .cellmap import CellMap, build_cell_map
 from .errors import EigenSolveError, KindUnsupported, NullSpaceDimension, SpecValidationError
 from .lattice import BCKind, LatticeSpec, MicroBCSpec, reversed_spec
 
@@ -87,7 +87,6 @@ class MacroBC:
     rhs_labels: tuple
     value_weights: np.ndarray | None = None
     slope_weights: np.ndarray | None = None
-    null_vectors: np.ndarray | None = None  # left-null basis, columns
 
 
 def _check_mixed_side(kind: BCKind, side: str) -> None:
@@ -95,6 +94,14 @@ def _check_mixed_side(kind: BCKind, side: str) -> None:
         raise KindUnsupported(
             "the mixed problem yields both macroscale conditions at the left end; "
             "the right-end datum adds none"
+        )
+
+
+def _check_value_shape(bc: MicroBCSpec, s: int) -> None:
+    shape = bc.value_shape(s)
+    if bc.values.shape != shape:
+        raise SpecValidationError(
+            [f"{bc.kind.value} values must have shape {shape}, got {bc.values.shape}"]
         )
 
 
@@ -108,11 +115,7 @@ def assemble_constraints(
     if bc.kind in (BCKind.CAUCHY_LIKE, BCKind.MIXED) and s != 2:
         raise KindUnsupported(f"{bc.kind.value} boundary conditions require s = 2, got s = {s}")
     _check_mixed_side(bc.kind, bc.side)
-    shape = bc.value_shape(s)
-    if bc.values.shape != shape:
-        raise SpecValidationError(
-            [f"{bc.kind.value} values must have shape {shape}, got {bc.values.shape}"]
-        )
+    _check_value_shape(bc, s)
 
     # Basis columns restricted to the centre-stable modes.
     V = np.column_stack([cm.stable_vectors, cm.center_vector, cm.generalized_vector])
@@ -130,11 +133,11 @@ def assemble_constraints(
     )
 
 
-def derive_macro_bc(cs: ConstraintSystem, null_tol: float = NULL_TOL) -> MacroBC:
+def derive_macro_bc(cs: ConstraintSystem) -> MacroBC:
     """Solvability condition of the constraint system, normalized.
 
     The left null space of M comes from the SVD (singular values below
-    null_tol * sigma_max count as zero).  Generic kinds give one null
+    NULL_TOL * sigma_max count as zero).  Generic kinds give one null
     vector w and the Robin form with U coefficient 1; the flux kind has
     zero U weight and is reported as a Neumann condition.  The mixed kind
     gives two null vectors, solved for the Cauchy pair.
@@ -144,7 +147,7 @@ def derive_macro_bc(cs: ConstraintSystem, null_tol: float = NULL_TOL) -> MacroBC
     U, sigma, _, info = dgesdd(M, compute_uv=1, full_matrices=1)
     if info != 0:
         raise EigenSolveError(f"SVD of the constraint matrix failed (dgesdd info {info})")
-    rank = int(np.sum(sigma > null_tol * sigma[0]))
+    rank = int(np.sum(sigma > NULL_TOL * sigma[0]))
     null = U[:, rank:]
     expected = 2 if cs.kind == BCKind.MIXED else 1
     if null.shape[1] != expected:
@@ -169,7 +172,6 @@ def derive_macro_bc(cs: ConstraintSystem, null_tol: float = NULL_TOL) -> MacroBC
             rhs_labels=data_labels,
             value_weights=W[0],
             slope_weights=W[1],
-            null_vectors=null,
         )
 
     w = null[:, 0]
@@ -177,16 +179,15 @@ def derive_macro_bc(cs: ConstraintSystem, null_tol: float = NULL_TOL) -> MacroBC
     w_u = w[n_data]
     w_f = w[n_data + 1]
     wnorm = np.linalg.norm(w)
-    if abs(w_u) >= null_tol * wnorm:
+    if abs(w_u) >= NULL_TOL * wnorm:
         return MacroBC(
             kind=MacroBCKind.ROBIN,
             side=cs.side,
             d=float(w_f / w_u),
             rhs_weights=-w_data / w_u,
             rhs_labels=data_labels,
-            null_vectors=null,
         )
-    if abs(w_f) < null_tol * wnorm:
+    if abs(w_f) < NULL_TOL * wnorm:
         raise NullSpaceDimension("null vector has neither U nor dU/dx weight")
     return MacroBC(
         kind=MacroBCKind.NEUMANN,
@@ -194,7 +195,6 @@ def derive_macro_bc(cs: ConstraintSystem, null_tol: float = NULL_TOL) -> MacroBC
         d=None,
         rhs_weights=-w_data / w_f,
         rhs_labels=data_labels,
-        null_vectors=null,
     )
 
 
@@ -219,6 +219,9 @@ def closed_form_bc(
     authoritative one there.  For side "right", pass the reversed lattice
     (`reversed_spec`) and its cell map: the result gets right_end_bc's
     chain-rule sign flip, and the mixed kind raises KindUnsupported.
+    Only robin_like's weights read the values (its d_j), so the other
+    kinds may omit them; values that are given must have the kind's
+    shape, or SpecValidationError is raised.
     """
     kind = BCKind(kind)
     if spec.s != 2 or spec.p != 2:
@@ -227,6 +230,8 @@ def closed_form_bc(
         )
     _check_mixed_side(kind, side)
     bc = MicroBCSpec(kind, () if values is None else values, side)
+    if values is not None or kind == BCKind.ROBIN_LIKE:
+        _check_value_shape(bc, 2)
     mb = _closed_form_left(kind, cm, spec.h, bc.values, bc.data_rows(2, spec.h)[2])
     return _mirror(mb) if side == "right" else mb
 
@@ -296,20 +301,12 @@ def _closed_form_left(kind: BCKind, cm: CellMap, h: float, values, labels) -> Ma
     raise KindUnsupported(f"no closed form for kind {kind}")
 
 
-def left_end_bc(
-    spec: LatticeSpec, bc: MicroBCSpec, center_tol: float = CENTER_TOL,
-    null_tol: float = NULL_TOL,
-) -> MacroBC:
+def left_end_bc(spec: LatticeSpec, bc: MicroBCSpec) -> MacroBC:
     """Full left-end pipeline: cell map, constraints, solvability."""
-    cm = build_cell_map(spec, center_tol=center_tol)
-    cs = assemble_constraints(cm, bc, spec)
-    return derive_macro_bc(cs, null_tol=null_tol)
+    return derive_macro_bc(assemble_constraints(build_cell_map(spec), bc, spec))
 
 
-def right_end_bc(
-    spec: LatticeSpec, bc: MicroBCSpec, center_tol: float = CENTER_TOL,
-    null_tol: float = NULL_TOL,
-) -> MacroBC:
+def right_end_bc(spec: LatticeSpec, bc: MicroBCSpec) -> MacroBC:
     """Right-end condition via lattice reversal and the chain-rule sign flip.
 
     The left-end pipeline runs on the reversed lattice (n' = N - n); in
@@ -320,8 +317,7 @@ def right_end_bc(
     reversed lattice is the whole cell read backwards, and its cell map
     comes from the memo that a left-end build of spec leaves behind.
     """
-    return _mirror(left_end_bc(reversed_spec(spec), MicroBCSpec(bc.kind, bc.values, "right"),
-                               center_tol, null_tol))
+    return _mirror(left_end_bc(reversed_spec(spec), MicroBCSpec(bc.kind, bc.values, "right")))
 
 
 def _mirror(mb: MacroBC) -> MacroBC:

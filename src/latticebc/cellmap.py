@@ -139,9 +139,9 @@ def _linearisation(E, F, G):
 _reversed = None
 
 
-def _key(s: int, p: int, center_tol: float, kappa_long, kappa_cross) -> tuple:
+def _key(s: int, p: int, kappa_long, kappa_cross) -> tuple:
     """What a cell map depends on: the elasticities, not rho, h or N."""
-    return (s, p, center_tol, kappa_long.tobytes(), kappa_cross.tobytes())
+    return (s, p, kappa_long.tobytes(), kappa_cross.tobytes())
 
 
 def _reset_memo() -> None:
@@ -149,11 +149,11 @@ def _reset_memo() -> None:
     _reversed = None
 
 
-def build_cell_map(spec: LatticeSpec, center_tol: float = CENTER_TOL) -> CellMap:
+def build_cell_map(spec: LatticeSpec) -> CellMap:
     """Solve the cell-boundary quadratic and classify its eigen-structure.
 
     Raises UnexpectedSpectrum unless the mean of the pair at modulus
-    positions s-1, s lies within center_tol of 1 and every other
+    positions s-1, s lies within CENTER_TOL of 1 and every other
     eigenvalue lies farther from 1, and NoJordanChain when the doubled
     eigenvalue carries no generalized eigenvector.  A lattice whose
     elasticities are the reversal of the previous build's is served from
@@ -161,7 +161,7 @@ def build_cell_map(spec: LatticeSpec, center_tol: float = CENTER_TOL) -> CellMap
     """
     global _reversed
     s, p = spec.s, spec.p
-    key = _key(s, p, center_tol, spec.kappa_long, spec.kappa_cross)
+    key = _key(s, p, spec.kappa_long, spec.kappa_cross)
     memo = _reversed   # read once: another thread may replace it
     if memo is not None and memo[0] == key:
         return memo[1]
@@ -177,8 +177,8 @@ def build_cell_map(spec: LatticeSpec, center_tol: float = CENTER_TOL) -> CellMap
     order = np.argsort(np.abs(mu), kind="stable")
     mu, Z = mu[order], Z[:, order]
     others = np.delete(mu, [s - 1, s])
-    if abs(mu[s - 1: s + 1].mean() - 1.0) > center_tol or np.any(
-        np.abs(others - 1.0) <= center_tol
+    if abs(mu[s - 1: s + 1].mean() - 1.0) > CENTER_TOL or np.any(
+        np.abs(others - 1.0) <= CENTER_TOL
     ):
         raise UnexpectedSpectrum(
             f"expected a doubled eigenvalue at 1 at modulus positions {s - 1}, {s}: {mu}"
@@ -230,7 +230,7 @@ def build_cell_map(spec: LatticeSpec, center_tol: float = CENTER_TOL) -> CellMap
     spring, point = _reversal_maps(p, 0)
     back = gen.reshape(p + 1, s)[::-1].ravel()
     _reversed = (
-        _key(s, p, center_tol, spec.kappa_long[spring], spec.kappa_cross[point]),
+        _key(s, p, spec.kappa_long[spring], spec.kappa_cross[point]),
         classified(C.reshape(p + 1, s, 2 * s)[::-1].reshape(-1, 2 * s), Z[:, :s:-1],
                    back[0] - back),
     )

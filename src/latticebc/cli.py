@@ -2,11 +2,13 @@
 
 Subcommands: homogenize | derive-bc | validate | dispersion | spectrum,
 one entry each in COMMANDS.  Configurations come from a JSON file
-(--config) or a builtin preset (--preset), with --h/--N/--tol overrides
-winning over either source.  The report is printed to stdout and written
-to report.json.  All outputs are deterministic: floats are printed with
-17 significant digits, field order is fixed, CSV uses '.' decimals, ','
-separators and LF line endings.
+(--config) or a builtin preset (--preset), with --h/--N overrides
+winning over either source.  The numerical tolerances are the fixed
+constants of the library modules; a config that tries to set them is
+refused.  The report is printed to stdout and written to report.json.
+All outputs are deterministic: floats are printed with 17 significant
+digits, field order is fixed, CSV uses '.' decimals, ',' separators and
+LF line endings.
 """
 
 from __future__ import annotations
@@ -21,15 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import boundary, cellmap, homogenize, validate
+from . import boundary, homogenize, validate
 from .errors import ConfigParseError, LatticeError, SpecValidationError
 from .lattice import BCKind, LatticeSpec, MicroBCSpec
-
-TOLERANCE_DEFAULTS = {
-    "residual": homogenize.RESIDUAL_TOL,
-    "center_eigenvalue": cellmap.CENTER_TOL,
-    "null_space": boundary.NULL_TOL,
-}
 
 # Constants of the bundled five-strand ten-periodic demo lattice.  Strand
 # amplitudes/phases generate the longitudinal elasticities and densities;
@@ -130,7 +126,6 @@ class RunConfig:
     micro_bc_left: MicroBCSpec
     micro_bc_right: MicroBCSpec
     output_dir: Path = Path(".")
-    tolerances: dict = field(default_factory=lambda: dict(TOLERANCE_DEFAULTS))
     reference: dict = field(default_factory=dict)
 
 
@@ -139,7 +134,7 @@ def _parse_micro_bc(raw, s: int, side: str) -> MicroBCSpec:
         return MicroBCSpec.dirichlet_zero(s, side)
     try:
         bc = MicroBCSpec(raw["kind"], raw.get("values", np.zeros(s)), side)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigParseError(f"micro_bc_{side} is malformed: {exc}") from exc
     shape = bc.value_shape(s)
     if bc.values.shape != shape:
@@ -160,6 +155,8 @@ def config_from_dict(cfg: dict, overrides: dict | None = None) -> RunConfig:
     missing = [k for k in ("s", "p", "h", "N", "kappa_long", "kappa_cross", "rho") if k not in cfg]
     if missing:
         raise ConfigParseError(f"missing config fields: {', '.join(missing)}")
+    if "tolerances" in cfg:
+        raise ConfigParseError("tolerances cannot be set: the numerical tolerances are fixed")
     try:
         spec = LatticeSpec(
             s=cfg["s"],
@@ -170,22 +167,8 @@ def config_from_dict(cfg: dict, overrides: dict | None = None) -> RunConfig:
             kappa_cross=cfg["kappa_cross"],
             rho=cfg["rho"],
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigParseError(f"malformed lattice fields: {exc}") from exc
-    tol = dict(TOLERANCE_DEFAULTS)
-    given = cfg.get("tolerances", {})
-    if not isinstance(given, dict):
-        raise ConfigParseError("tolerances must be an object of NAME: VALUE")
-    for name, value in [*given.items(), *(overrides.get("tol") or {}).items()]:
-        if name not in tol:
-            raise ConfigParseError(f"unknown tolerance {name!r}; known: {sorted(tol)}")
-        # a bool is an int, and a string such as "1e-9" is not a number
-        number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not (number and 0 < value < math.inf):
-            raise ConfigParseError(
-                f"tolerance {name} must be a positive finite number, got {value!r}"
-            )
-        tol[name] = float(value)
     out_dir = overrides.get("out") or cfg.get("output_dir", ".")
     if not isinstance(out_dir, (str, os.PathLike)):
         raise ConfigParseError(f"output_dir must be a path string, got {out_dir!r}")
@@ -197,7 +180,6 @@ def config_from_dict(cfg: dict, overrides: dict | None = None) -> RunConfig:
         micro_bc_left=_parse_micro_bc(cfg.get("micro_bc_left"), spec.s, "left"),
         micro_bc_right=_parse_micro_bc(cfg.get("micro_bc_right"), spec.s, "right"),
         output_dir=Path(out_dir),
-        tolerances=tol,
         reference=dict(reference),
     )
 
@@ -275,7 +257,7 @@ def _macro_bc_dict(mb, h: float) -> dict:
 
 def cmd_homogenize(cfg: RunConfig) -> dict:
     spec = cfg.spec
-    sm = homogenize.construct_slow_manifold(spec, tol=cfg.tolerances["residual"])
+    sm = homogenize.construct_slow_manifold(spec)
     report = {
         "command": "homogenize",
         "c": sm.c,
@@ -302,15 +284,13 @@ def cmd_homogenize(cfg: RunConfig) -> dict:
 
 def cmd_derive_bc(cfg: RunConfig) -> dict:
     spec = cfg.spec
-    center_tol = cfg.tolerances["center_eigenvalue"]
-    null_tol = cfg.tolerances["null_space"]
-    cm = boundary.build_cell_map(spec, center_tol)
+    cm = boundary.build_cell_map(spec)
     cs = boundary.assemble_constraints(cm, cfg.micro_bc_left, spec)
-    left = boundary.derive_macro_bc(cs, null_tol)
+    left = boundary.derive_macro_bc(cs)
     if cfg.micro_bc_left.kind == BCKind.MIXED:
         right = None
     else:
-        right = boundary.right_end_bc(spec, cfg.micro_bc_right, center_tol, null_tol)
+        right = boundary.right_end_bc(spec, cfg.micro_bc_right)
     report = {
         "command": "derive-bc",
         "left": _macro_bc_dict(left, spec.h),
@@ -331,12 +311,10 @@ def cmd_derive_bc(cfg: RunConfig) -> dict:
 def cmd_validate(cfg: RunConfig) -> dict:
     """Slowest-mode comparison in the clamped (zero-Dirichlet) setting."""
     spec = cfg.spec
-    sm = homogenize.construct_slow_manifold(spec, tol=cfg.tolerances["residual"])
+    sm = homogenize.construct_slow_manifold(spec)
     zeros = MicroBCSpec.dirichlet_zero(spec.s)
-    center_tol = cfg.tolerances["center_eigenvalue"]
-    null_tol = cfg.tolerances["null_space"]
-    bc0 = boundary.left_end_bc(spec, zeros, center_tol, null_tol)
-    bcL = boundary.right_end_bc(spec, zeros, center_tol, null_tol)
+    bc0 = boundary.left_end_bc(spec, zeros)
+    bcL = boundary.right_end_bc(spec, zeros)
     comp = validate.compare_modes(spec, sm, bc0, bcL)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     rows = zip(comp.n_grid, comp.x_grid, comp.micro_avg, comp.macro_robin, comp.macro_dirichlet)
@@ -403,19 +381,6 @@ def cmd_spectrum(cfg: RunConfig) -> dict:
     return out
 
 
-def _parse_tol_args(pairs) -> dict:
-    out = {}
-    for item in pairs or []:
-        if "=" not in item:
-            raise ConfigParseError(f"--tol expects NAME=VALUE, got {item!r}")
-        name, value = item.split("=", 1)
-        try:
-            out[name] = float(value)
-        except ValueError as exc:
-            raise ConfigParseError(f"bad tolerance value in {item!r}") from exc
-    return out
-
-
 COMMANDS = {
     "homogenize": cmd_homogenize,
     "derive-bc": cmd_derive_bc,
@@ -433,7 +398,6 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--h", type=float, help="lattice spacing override")
     shared.add_argument("--N", type=int, help="interval count override")
     shared.add_argument("--out", help="output directory (default: .)")
-    shared.add_argument("--tol", action="append", metavar="NAME=VALUE")
     ap = argparse.ArgumentParser(
         prog="latticebc",
         description="Homogenized wave coefficients and derived macroscale "
@@ -453,7 +417,7 @@ PARSER = _build_parser()
 def main(argv=None) -> int:
     args = PARSER.parse_args(argv)
     try:
-        overrides = {"h": args.h, "N": args.N, "out": args.out, "tol": _parse_tol_args(args.tol)}
+        overrides = {"h": args.h, "N": args.N, "out": args.out}
         if args.config:
             cfg = parse_config(args.config, overrides)
         else:

@@ -43,6 +43,7 @@ from .errors import EigenSolveError, KindUnsupported, NotConverged, SingularSolv
 from .lattice import LatticeSpec, build_B, build_Lk, build_Lk_exact
 
 RESIDUAL_TOL = 1e-12
+MAX_SWEEPS = 12   # cap of the correction sweeps in construct_slow_manifold
 
 
 @dataclass
@@ -68,15 +69,14 @@ class ClosedFormResult:
         return self.kappa_bar / self.rho_bar
 
 
-def construct_slow_manifold(
-    spec: LatticeSpec, max_iter: int = 12, tol: float = RESIDUAL_TOL
-) -> SlowManifold:
+def construct_slow_manifold(spec: LatticeSpec) -> SlowManifold:
     """Iterate shape and evolution corrections until the residual is zero.
 
-    The residual tolerance is relative to the stiffness scale (largest
-    Frobenius norm among the coefficient matrices of L_k), because the
-    exact-arithmetic analogue of this iteration terminates at an exact
-    zero and floating point needs a scale-aware substitute.
+    The residual must fall below RESIDUAL_TOL times the stiffness scale
+    (largest Frobenius norm among the coefficient matrices of L_k),
+    because the exact-arithmetic analogue of this iteration terminates
+    at an exact zero and floating point needs a scale-aware substitute.
+    Raises NotConverged when MAX_SWEEPS sweeps do not get it there.
     """
     n = spec.n_cell
     Bdiag = spec.h ** 2 * spec.rho.reshape(-1)   # the diagonal of build_B
@@ -126,11 +126,11 @@ def construct_slow_manifold(
     iterations = 0
     res = residual(a, g)
     res_norm = float(np.max(np.abs(res)))
-    while res_norm >= tol * scale:
-        if iterations >= max_iter:
+    while res_norm >= RESIDUAL_TOL * scale:
+        if iterations >= MAX_SWEEPS:
             raise NotConverged(
                 f"slow manifold residual {res_norm:.3e} after {iterations} sweeps "
-                f"(tolerance {tol * scale:.3e})"
+                f"(tolerance {RESIDUAL_TOL * scale:.3e})"
             )
         ghat = res.sum(axis=0) / (-sum_b)
         g = g + ghat

@@ -155,6 +155,14 @@ class TestDataRows:
             assemble_constraints(cm, MicroBCSpec(kind, values), demo2x2_spec)
         with pytest.raises(SpecValidationError, match="values must have shape"):
             left_end_bc(demo2x2_spec, MicroBCSpec(kind, values))
+        with pytest.raises(SpecValidationError, match="values must have shape"):
+            closed_form_bc(kind, cm, demo2x2_spec, values=values)
+
+    def test_closed_form_robin_like_needs_values(self, demo2x2_spec):
+        # Its d_j enter the weights; the other kinds' weights read no values.
+        cm = build_cell_map(demo2x2_spec)
+        with pytest.raises(SpecValidationError, match=r"robin_like values must have shape \(2, 2\)"):
+            closed_form_bc(BCKind.ROBIN_LIKE, cm, demo2x2_spec)
 
     def test_mismatched_cell_map_is_typed(self, demo2x2_spec):
         cm = build_cell_map(_s4_spec())
@@ -205,14 +213,27 @@ class TestDeriveTwoStrand:
         assert float(mb.rhs_weights @ np.zeros(2)) == 0.0
 
     def test_solvability_certificate(self, demo2x2_spec):
+        # Each derived condition, written as a row r on the right-hand
+        # side (scaled data, U, dU/dx) of M c = rhs, must annihilate M.
         cm = build_cell_map(demo2x2_spec)
         rng = np.random.default_rng(33)
+        seen = set()
         for kind in ALL_KINDS:
             bc = MicroBCSpec(kind, micro_values(rng, kind, 2))
             cs = assemble_constraints(cm, bc, demo2x2_spec)
             mb = derive_macro_bc(cs)
-            for w in mb.null_vectors.T:
-                assert np.linalg.norm(w @ cs.matrix) < 1e-9 * np.linalg.norm(cs.matrix)
+            sc = cs.data_scale
+            if mb.kind == MacroBCKind.ROBIN:
+                rows = [(-mb.rhs_weights / sc, 1.0, mb.d)]
+            elif mb.kind == MacroBCKind.NEUMANN:
+                rows = [(-mb.rhs_weights / sc, 0.0, 1.0)]
+            else:
+                rows = [(-mb.value_weights / sc, 1.0, 0.0), (-mb.slope_weights / sc, 0.0, 1.0)]
+            seen.add(mb.kind)
+            for data, u, slope in rows:
+                r = np.concatenate([data, [u, slope]])
+                assert np.linalg.norm(r @ cs.matrix) <= 1e-9 * np.linalg.norm(cs.matrix)
+        assert seen == set(MacroBCKind)
 
     def test_numeric_matches_closed_forms(self):
         rng = np.random.default_rng(34)

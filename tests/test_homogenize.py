@@ -18,6 +18,8 @@ from latticebc import (
     dispersion_fit,
 )
 
+from latticebc import homogenize
+
 from conftest import make_spec, random_spec, with_entry
 
 
@@ -268,8 +270,9 @@ class TestFailureModes:
         with pytest.raises(SpecValidationError, match="h"):
             construct_slow_manifold(dataclasses.replace(demo2x2_spec, h=h))
 
-    def test_not_converged_with_tiny_budget(self, demo2x2_spec):
+    def test_not_converged_with_tiny_budget(self, demo2x2_spec, monkeypatch):
         from latticebc.errors import NotConverged
 
-        with pytest.raises(NotConverged):
-            construct_slow_manifold(demo2x2_spec, max_iter=0)
+        monkeypatch.setattr(homogenize, "MAX_SWEEPS", 0)
+        with pytest.raises(NotConverged, match="after 0 sweeps"):
+            construct_slow_manifold(demo2x2_spec)
