@@ -136,12 +136,10 @@ def _parse_micro_bc(raw, s: int, side: str) -> MicroBCSpec:
         bc = MicroBCSpec(raw["kind"], raw.get("values", np.zeros(s)), side)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigParseError(f"micro_bc_{side} is malformed: {exc}") from exc
-    shape = bc.value_shape(s)
-    if bc.values.shape != shape:
-        raise ConfigParseError(
-            f"micro_bc_{side} {bc.kind.value} values must have shape {shape}, "
-            f"got {bc.values.shape}"
-        )
+    try:
+        boundary._check_value_shape(bc, s)
+    except SpecValidationError as exc:
+        raise ConfigParseError(f"micro_bc_{side} {exc}") from exc
     return bc
 
 

@@ -63,7 +63,10 @@ class NullSpaceDimension(LatticeError):
 
 
 class NoRootInBracket(LatticeError):
-    """No eigen-root of the macroscale problem in the search bracket."""
+    """The macroscale eigen-root is not unique on its bracket: the end
+    conditions' |d_0| + |d_L| (a Neumann end counts 0) is not below the
+    domain length L, so the phase equation may cross its target more
+    than once."""
 
     code = "NoRootInBracket"
 

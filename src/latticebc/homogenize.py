@@ -73,9 +73,10 @@ def construct_slow_manifold(spec: LatticeSpec) -> SlowManifold:
     """Iterate shape and evolution corrections until the residual is zero.
 
     The residual must fall below RESIDUAL_TOL times the stiffness scale
-    (largest Frobenius norm among the coefficient matrices of L_k),
-    because the exact-arithmetic analogue of this iteration terminates
-    at an exact zero and floating point needs a scale-aware substitute.
+    (||L_0||_F; for the single-mass cell, where L_0 = 0, the largest
+    Frobenius norm among the coefficient matrices of L_k), because the
+    exact-arithmetic analogue of this iteration terminates at an exact
+    zero and floating point needs a scale-aware substitute.
     Raises NotConverged when MAX_SWEEPS sweeps do not get it there.
     """
     n = spec.n_cell

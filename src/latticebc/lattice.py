@@ -57,8 +57,9 @@ class LatticeSpec:
 
     A spec that exists is valid: construction raises TypeError unless s,
     p and N are integers, h a real number and the arrays hold real
-    numbers only, and SpecValidationError carrying `validate_spec`'s
-    messages when that list is not empty.
+    numbers only, OverflowError naming the field when h or an array entry
+    is an integer too large for a float, and SpecValidationError carrying
+    `validate_spec`'s messages when that list is not empty.
     """
 
     s: int
@@ -77,12 +78,15 @@ class LatticeSpec:
             object.__setattr__(self, name, int(value))
         if not isinstance(self.h, numbers.Real) or isinstance(self.h, bool):
             raise TypeError(f"h must be a real number, got {self.h!r}")
-        object.__setattr__(self, "h", float(self.h))
-        for name in ("kappa_long", "kappa_cross", "rho"):
-            arr = _real_array(getattr(self, name))
-            if arr is None:
+        for name in ("h", "kappa_long", "kappa_cross", "rho"):
+            value = getattr(self, name)
+            try:
+                value = float(value) if name == "h" else _real_array(value)
+            except OverflowError as exc:  # an integer too large for a float
+                raise OverflowError(f"{name}: {exc}") from exc
+            if value is None:
                 raise TypeError(f"{name} must hold real numbers only")
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, value)
         violations = validate_spec(self)
         if violations:
             raise SpecValidationError(violations)

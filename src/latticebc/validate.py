@@ -15,6 +15,7 @@ zero eigenvalue for connected lattices, and a positive spectral gap.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -193,48 +194,43 @@ def microscale_slowest_mode(spec: LatticeSpec):
     return lam, w, float(residual)
 
 
-def _bc_coefficients(bc: MacroBC):
+def _end_phase(bc: MacroBC):
+    """(phi, |d|): U = sin(theta) meets the end condition where theta - phi(q)
+    is a multiple of pi, and |phi'| <= |d| (0 at a Neumann end)."""
     if bc.kind == MacroBCKind.ROBIN:
-        return 1.0, bc.d
-    if bc.kind == MacroBCKind.NEUMANN:
-        return 0.0, 1.0
+        return (lambda q, d=bc.d: -math.atan(d * q)), abs(bc.d)
+    if bc.kind == MacroBCKind.NEUMANN:  # not atan2(-q, 0): that is 0 at q = 0
+        return (lambda q: -math.pi / 2), 0.0
     raise KindUnsupported(f"{bc.kind.value} condition not usable in the scalar eigenproblem")
 
 
 def macroscale_slowest_mode(c: float, L: float, bc0: MacroBC, bcL: MacroBC, x_grid):
     """Slowest mode of U_tt = c U_xx under homogeneous end conditions.
 
-    Modes have the form U = sin(q x + phi) with lambda = c q^2.  The left
-    condition fixes phi(q); the right condition becomes a scalar root
-    problem in q, solved by bracket scanning and Brent's method for the
-    smallest positive root below 3 pi / L.
+    Modes are U = sin(q x + phi_0(q)), lambda = c q^2, and the right end
+    holds where the phase F(q) = q L + phi_0(q) - phi_L(q) is a multiple
+    of pi (Pruefer, Math. Ann. 95, 1926).  Each phase lies in
+    [-pi/2, pi/2] and F' >= L - |d_0| - |d_L|.  When that is positive,
+    F rises through the first multiple of pi above F(0) (pi, or 0 for
+    Neumann-Robin, the quarter wave) exactly once on the bracket
+    [0, (target - F(0) + pi) / L], where one brentq finds it; otherwise
+    NoRootInBracket is raised rather than a branch guessed.
     """
     if not c > 0:
         raise ValueError(f"need a positive coefficient, got c = {c}")
-    a0u, a0x = _bc_coefficients(bc0)
-    aLu, aLx = _bc_coefficients(bcL)
-
-    def phi(q):
-        return np.arctan2(-a0x * q, a0u)
-
-    def g(q):
-        th = q * L + phi(q)
-        return aLu * np.sin(th) + aLx * q * np.cos(th)
-
-    q_hi = 3.0 * np.pi / L
-    qs = np.linspace(q_hi * 1e-6, q_hi, 6001)
-    vals = g(qs)
-    sign_change = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-    if sign_change.size == 0:
-        raise NoRootInBracket(f"no macroscale eigen-root in (0, {q_hi:g})")
+    (phi0, d0), (phiL, dL) = _end_phase(bc0), _end_phase(bcL)
+    if not d0 + dL < L:
+        raise NoRootInBracket(f"|d_0| + |d_L| = {d0 + dL:g} is not below L = {L:g}: "
+                              "the macroscale root is not unique on its bracket")
+    start = phi0(0.0) - phiL(0.0)
+    target = math.pi * (math.floor(start / math.pi) + 1)
     # Imported on first use: scipy.optimize adds about half again to the
     # package's import time, and only this function needs it.
     from scipy.optimize import brentq
 
-    i = sign_change[0]
-    root = brentq(g, qs[i], qs[i + 1], xtol=1e-300, rtol=4 * np.finfo(float).eps)
-    x = np.asarray(x_grid, dtype=float)
-    mode = np.sin(root * x + phi(root))
+    root = brentq(lambda q: q * L + phi0(q) - phiL(q) - target, 0.0,
+                  (target - start + math.pi) / L, xtol=1e-300, rtol=4 * np.finfo(float).eps)
+    mode = np.sin(root * np.asarray(x_grid, dtype=float) + phi0(root))
     return float(c * root ** 2), mode
 
 

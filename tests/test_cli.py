@@ -332,15 +332,18 @@ class TestMainEntry:
          "micro_bc_left is malformed: values must be finite real numbers"),
         ("tolerances", {"residual": 1e-9},
          "tolerances cannot be set: the numerical tolerances are fixed"),
-        pytest.param("h", 10 ** 400, "malformed lattice fields: int too large",
+        pytest.param("h", 10 ** 400, "malformed lattice fields: h: int too large",
                      id="h-400-digit-int"),
         pytest.param("kappa_long", [[2.0, 10 ** 400], [0.1, 5.0]],
-                     "malformed lattice fields: int too large", id="kappa_long-400-digit-int"),
+                     "malformed lattice fields: kappa_long: int too large",
+                     id="kappa_long-400-digit-int"),
         pytest.param("kappa_cross", [[[0.0, 10 ** 400], [10 ** 400, 0.0]],
                                      [[0.0, 0.1], [0.1, 0.0]]],
-                     "malformed lattice fields: int too large", id="kappa_cross-400-digit-int"),
+                     "malformed lattice fields: kappa_cross: int too large",
+                     id="kappa_cross-400-digit-int"),
         pytest.param("rho", [[1.0, 2.0], [4.0, 10 ** 400]],
-                     "malformed lattice fields: int too large", id="rho-400-digit-int"),
+                     "malformed lattice fields: rho: int too large",
+                     id="rho-400-digit-int"),
         pytest.param("micro_bc_left", {"kind": "dirichlet", "values": [10 ** 400, 0]},
                      "micro_bc_left is malformed: int too large", id="micro_bc-400-digit-int"),
     ])
@@ -348,8 +351,8 @@ class TestMainEntry:
         # The first three used to end in a raw TypeError traceback, the
         # next ones ran with the value converted (N = 8.9 as N = 8, "0.5"
         # as 0.5, true as 1), and an integer too large for a float raised
-        # a raw OverflowError.  No --out, so output_dir is read from the
-        # file.
+        # a raw OverflowError; its message must name the field.  No --out,
+        # so output_dir is read from the file.
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(dict(preset_config("demo-2x2"), **{key: value})))
         rc = main(["derive-bc", "--config", str(path)])

@@ -17,12 +17,32 @@ from latticebc import (
     spectrum_checks,
     validate,
 )
-from latticebc.errors import EigenSolveError
+from latticebc.errors import EigenSolveError, KindUnsupported, NoRootInBracket
 from conftest import clamped_dense, make_spec, random_spec
 
 
 def robin(d, side="left"):
     return MacroBC(MacroBCKind.ROBIN, side, d, None, ())
+
+
+def neumann(side="left"):
+    return MacroBC(MacroBCKind.NEUMANN, side, None, None, ())
+
+
+def end_sinusoid(q, bc0, x):
+    """(U, U') at x of U = a sin(qx) + b cos(qx), the sinusoid that meets
+    the left condition."""
+    a, b = (0.0, 1.0) if bc0.kind == MacroBCKind.NEUMANN else (1.0, -bc0.d * q)
+    return a * np.sin(q * x) + b * np.cos(q * x), q * (a * np.cos(q * x) - b * np.sin(q * x))
+
+
+def right_residual(q, bc0, bcL, L):
+    """Right-end condition of the left-end sinusoid, relative to its
+    amplitude sqrt(U^2 + (U'/q)^2)."""
+    u, du = end_sinusoid(q, bc0, L)
+    if bcL.kind == MacroBCKind.NEUMANN:
+        return du / q / np.hypot(u, du / q)
+    return (u + bcL.d * du) / (np.hypot(u, du / q) * (1 + abs(bcL.d) * q))
 
 
 def fd_robin_eigenvalue(c, L, d0, dL, npts=2048):
@@ -296,6 +316,72 @@ class TestMacroscale:
     def test_rejects_nonpositive_coefficient(self):
         with pytest.raises(ValueError):
             macroscale_slowest_mode(0.0, 1.0, robin(0.0), robin(0.0, "right"), [0.0])
+
+    @pytest.mark.parametrize("d", [0.2, -0.2, 0.45])
+    @pytest.mark.parametrize("mirror", [False, True], ids=["neumann-robin", "robin-neumann"])
+    def test_neumann_robin_closed_form(self, d, mirror):
+        # Neumann at 0, U + d U' = 0 at L: U = cos(qx) and d q tan(qL) = 1,
+        # whose smallest positive root lies in (0, pi/2L) for d > 0 and in
+        # (pi/2L, pi/L) for d < 0 (the quarter wave, not the half wave).
+        # The mirror x -> L - x flips the sign of U', so Robin d at 0 and
+        # Neumann at L give the same q with d -> -d.
+        from scipy.optimize import brentq
+
+        c, L = 1.7, 1.3
+        x = np.linspace(0, L, 27)
+        ends = (robin(-d), neumann("right")) if mirror else (neumann(), robin(d, "right"))
+        lam, mode = macroscale_slowest_mode(c, L, *ends, x)
+        q = np.sqrt(lam / c)
+        lo, hi = (0.0, np.pi / (2 * L)) if d > 0 else (np.pi / (2 * L), np.pi / L)
+        ref = brentq(lambda k: d * k * np.sin(k * L) - np.cos(k * L), lo, hi, xtol=1e-300)
+        assert q == pytest.approx(ref, rel=1e-13)
+        shape = np.cos(q * (L - x)) if mirror else np.cos(q * x)
+        assert np.allclose(mode, np.sign(mode @ shape) * shape, atol=1e-13)
+
+    def test_random_ends_meet_both_conditions(self):
+        rng = np.random.default_rng(19)
+        for _ in range(200):
+            L, c = rng.uniform(0.5, 3.0), rng.uniform(0.5, 2.0)
+            d0, dL = rng.uniform(-0.49, 0.49, 2) * L
+            kinds = rng.integers(0, 2, 2)
+            bc0 = robin(d0) if kinds[0] else neumann()
+            bcL = robin(dL, "right") if kinds[1] else neumann("right")
+            # clustered at the ends, where a localised mode below puts a zero
+            # within about |d| of the end
+            x = L * (1 - np.cos(np.linspace(0, np.pi, 401))) / 2
+            lam, mode = macroscale_slowest_mode(c, L, bc0, bcL, x)
+            q = np.sqrt(lam / c)
+            # the mode is the left-end sinusoid, and it meets the right end
+            u = end_sinusoid(q, bc0, x)[0]
+            assert np.max(np.abs(mode - (mode @ u) / (u @ u) * u)) <= 1e-12
+            assert abs(right_residual(q, bc0, bcL, L)) <= 1e-12
+            # no smaller positive q meets both ends
+            below = right_residual(q * np.arange(1, 1000) / 1000, bc0, bcL, L)
+            assert np.all(below > 0) or np.all(below < 0)
+            # Sturm: a mode has one sign change inside (0, L) per mode below
+            # it, so a fundamental has none.  Below the slowest positive q
+            # lie the boundary-localised modes (q = i/d0 for d0 > 0 and
+            # q = -i/dL for dL < 0) and, between Neumann ends, the constant.
+            below_modes = (int(kinds[0] and d0 > 0) + int(kinds[1] and dL < 0)
+                           + int(not kinds.any()))
+            inner = np.sign(mode[1:-1][np.abs(mode[1:-1]) > 1e-12])
+            assert np.count_nonzero(inner[1:] != inner[:-1]) == below_modes
+
+    @pytest.mark.parametrize("bc0,bcL", [
+        (robin(0.6), robin(-0.5, "right")),
+        (robin(0.5), robin(0.5, "right")),
+        (neumann(), robin(1.2, "right")),
+        (robin(np.nan), neumann("right")),
+    ], ids=["sum-above-L", "sum-equals-L", "neumann-robin", "nan"])
+    def test_no_root_when_ends_reach_across(self, bc0, bcL):
+        with pytest.raises(NoRootInBracket, match="not below L"):
+            macroscale_slowest_mode(1.0, 1.0, bc0, bcL, np.linspace(0, 1, 5))
+
+    def test_cauchy_pair_unsupported(self):
+        pair = MacroBC(MacroBCKind.CAUCHY_PAIR, "left", None, None, ("a",),
+                       value_weights=np.ones(1), slope_weights=np.ones(1))
+        with pytest.raises(KindUnsupported):
+            macroscale_slowest_mode(1.0, 1.0, pair, robin(0.0, "right"), np.linspace(0, 1, 5))
 
 
 class TestCompare:
