@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg.blas import dsbmv
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
@@ -87,17 +86,27 @@ class SpectrumReport:
 def _interior_system(spec: LatticeSpec):
     """Mass-scaled clamped stiffness over masses n = 1..N-1, as a band.
 
-    Returns (band, mass): band (s+1, s(N-1)) is the lower band of
-    K~ = M^-1/2 K M^-1/2 in LAPACK storage, band[d, i] = K~[i+d, i], from
-    the band of build_steady_operator; mass is the diagonal of M.
+    Returns (band, mass, gershgorin): band (s+1, s(N-1)) is the lower band
+    of K~ = M^-1/2 K M^-1/2 in LAPACK storage, band[d, i] = K~[i+d, i];
+    mass is the diagonal of M; gershgorin bounds the row sums of |K~|.
+    Band and masses repeat with the cell, so one period is built, columns
+    1..p with their links to the next column (the band of
+    build_steady_operator on p+1 columns), and tiled; the link out of
+    column N-1 is dropped.  The period's row sums with both links bound
+    every row of the clamped domain.
     """
-    s, N = spec.s, spec.N
-    mass = spec.h ** 2 * spec.rho[np.arange(1, N) % spec.p].ravel()
-    band = build_steady_operator(spec, N - 1)
+    s, p, N = spec.s, spec.p, spec.N
+    size = s * p
+    mass = spec.h ** 2 * spec.rho[np.arange(1, p + 2) % p].ravel()
     scale = 1.0 / np.sqrt(mass)
-    padded = np.concatenate([scale, np.zeros(s)])
-    band *= scale * sliding_window_view(padded, mass.size)
-    return band, mass
+    period = build_steady_operator(spec, p + 1)[:, :size]
+    period *= scale[np.add.outer(np.arange(s + 1), np.arange(size))] * scale[:size]
+    # the middle period of three holds every row with both its links
+    row_sums = dsbmv(s, 1.0, np.tile(np.abs(period), 3), np.ones(3 * size), lower=1)
+    reps = -(-(N - 1) // p)
+    band = np.tile(period.T, (reps, 1)).T[:, : s * (N - 1)]   # Fortran order
+    band[s, -s:] = 0.0
+    return band, np.tile(mass[:size], reps)[: s * (N - 1)], float(row_sums[size: 2 * size].max())
 
 
 def _shifted_factor(band: np.ndarray, sigma: float):
@@ -115,27 +124,39 @@ def microscale_slowest_mode(spec: LatticeSpec):
     eigenvalues of the pencil (K, M); w = M^-1/2 v~).  It comes from
     inverse iteration on banded Cholesky factors of K~ - sigma I
     (Parlett, The Symmetric Eigenvalue Problem, ch. 4) from sigma = 0
-    and sqrt(mass).  K~ keeps the non-positive off-diagonals of K, so its
-    lowest eigenvector is non-negative and that positive start overlaps it.
+    and the clamped half-wave sqrt(mass) sin(pi n / N) on every strand.
+    K~ keeps the non-positive off-diagonals of K, so its lowest
+    eigenvector is non-negative, and that positive start overlaps it;
+    on a near-uniform lattice it is close to the mode already.
 
-    Each iterate x gives theta = x^T K~ x and r = ||K~x - theta x||.  The
-    shift moves to theta - 2r when that at least halves theta - sigma and
-    dpbtrf succeeds there, which proves the shift lies below lambda_min;
-    after a failed factor the shift bisects between success and failure.
+    Each iterate x gives theta = x^T K~ x and r = ||K~x - theta x||.
+    Temple's bound lambda_min >= theta - r^2 / (lambda_2 - theta) (Temple
+    1928, Kato 1949), with the gap guessed as theta / 2, aims the next
+    shift at theta - 2 r^2 / theta, but never above theta (1 - 1e-8 / 2),
+    so a shift that lands in the certified window is the certificate.
+    After the first refused factor (a close cluster, or a start that
+    favours a higher mode) the shift is theta - 2r, stepping four times
+    further down after each refusal in a row, or bisects between success
+    and failure when that step is not below the failure.  A shift is
+    taken only when it at least halves theta - sigma and dpbtrf succeeds
+    there, which proves it lies below lambda_min.
+
     The loop stops when r = 0, or when r <= 64 eps times the Gershgorin
-    bound of K~ and no longer halves, and keeps the iterate of least r.
-    Before returning, a factor at some sigma >= lambda (1 - 1e-8) must
-    succeed (one more dpbtrf if needed), so lambda_min lies in
-    (sigma, lambda] up to rounding.  A failed first factor, MAX_SOLVES
+    bound of K~ and either the iterate was solved at sigma >=
+    theta (1 - 1e-8) or r no longer halves, and keeps the iterate of
+    least r.  Before returning, a factor at some sigma >= lambda (1 - 1e-8)
+    must have succeeded (one more dpbtrf if needed), so lambda_min lies
+    in (sigma, lambda] up to rounding.  A failed first factor, MAX_SOLVES
     solves, a dpbtrs info != 0 or a failed certificate (rounding in K~,
-    ~eps ||K~||, above 1e-8 lambda) raise EigenSolveError.
+    ~eps ||K~||, above 1e-8 lambda) raise EigenSolveError.  The
+    benchmark lattices take three factors and three solves.
 
     Returns (lambda, w, residual): w of shape (N+1, s), zero at n = 0
     and N, and the relative eigenpair residual
     ||Kw - lambda Mw|| / (||Kw|| + |lambda| ||Mw||).
     """
-    band, mass = _interior_system(spec)
-    band = np.asfortranarray(band)
+    s, N = spec.s, spec.N
+    band, mass, gershgorin = _interior_system(spec)
     root = np.sqrt(mass)
     factor, info = _shifted_factor(band, 0.0)
     if info != 0:
@@ -143,35 +164,42 @@ def microscale_slowest_mode(spec: LatticeSpec):
             "microscale eigensolve failed: the clamped stiffness is not positive "
             f"definite (dpbtrf info {info})"
         )
-    # row sums of |K~|, the Gershgorin bound of its spectrum
-    gershgorin = dsbmv(spec.s, 1.0, np.abs(band), np.ones(mass.size), lower=1).max()
     tol = 64 * np.finfo(float).eps * gershgorin
-    sigma, x = 0.0, root / np.linalg.norm(root)
+    x = root * np.repeat(np.sin(np.pi / N * np.arange(1, N)), s)
+    sigma, x = 0.0, x / np.linalg.norm(x)
     # sigma < lambda_min <= fail: dpbtrf succeeded at sigma and failed at fail
     best, r_prev, fail = None, np.inf, np.inf
+    misses = 0   # factors refused since the last one that succeeded
     for _ in range(MAX_SOLVES):
         y, info = dpbtrs(factor, x, lower=1)
         if info != 0:
             raise EigenSolveError(f"microscale eigensolve failed (dpbtrs info {info})")
         x = y / np.linalg.norm(y)
-        Kx = dsbmv(spec.s, 1.0, band, x, lower=1)
+        Kx = dsbmv(s, 1.0, band, x, lower=1)
         theta = float(x @ Kx)
         r = float(np.linalg.norm(Kx - theta * x))
         if best is None or r < best[0]:
             best = (r, theta, x, Kx)
-        if r == 0.0 or (r <= tol and r > r_prev / 2):
+        certified = sigma >= theta * (1 - CERTIFIED_REL)
+        if r == 0.0 or (r <= tol and (certified or r > r_prev / 2)):
             break
         r_prev = r
-        # An iterate still near a higher mode of a close cluster puts
-        # theta - 2r above lambda_min; bisecting (sigma, fail) then brings
-        # the shift below lambda_min, where that mode dies out fast.
-        shift = theta - 2 * r if theta - 2 * r < fail else (sigma + fail) / 2
+        if fail == np.inf:
+            shift = min(theta - 2 * r * r / theta, theta * (1 - CERTIFIED_REL / 2))
+        else:
+            # An iterate still near a higher mode of a close cluster puts
+            # theta - 2r above lambda_min: each refusal in a row steps four
+            # times further down, and bisecting (sigma, fail) takes over
+            # when the step does not get below the refused shift.
+            shift = theta - 2 * r * 4 ** misses
+            if shift >= fail:
+                shift = (sigma + fail) / 2
         if 2 * shift >= sigma + min(theta, fail):  # halves the bracket
             trial, info = _shifted_factor(band, shift)
             if info == 0:
-                factor, sigma = trial, shift
+                factor, sigma, misses = trial, shift, 0
             else:
-                fail = shift
+                fail, misses = shift, misses + 1
     else:
         raise EigenSolveError(
             f"microscale eigensolve failed: no convergence in {MAX_SOLVES} solves "
@@ -189,8 +217,8 @@ def microscale_slowest_mode(spec: LatticeSpec):
     # Kw = M^1/2 K~ v~ and Mw = M^1/2 v~
     Kw, Mw = root * Kv, root * v
     residual = np.linalg.norm(Kw - lam * Mw) / (np.linalg.norm(Kw) + abs(lam) * np.linalg.norm(Mw))
-    w = np.zeros((spec.N + 1, spec.s))
-    w[1: spec.N, :] = (v / root).reshape(spec.N - 1, spec.s)
+    w = np.zeros((N + 1, s))
+    w[1:N, :] = (v / root).reshape(N - 1, s)
     return lam, w, float(residual)
 
 
@@ -264,11 +292,9 @@ def compare_modes(spec: LatticeSpec, sm: SlowManifold, bc0: MacroBC, bcL: MacroB
     x = n_grid * h
     L = N * h
     c = sm.c
-    dirich = MacroBC(MacroBCKind.ROBIN, "left", 0.0, None, ())
     lam_rob, m_rob = macroscale_slowest_mode(c, L, bc0, bcL, x)
-    lam_dir, m_dir = macroscale_slowest_mode(
-        c, L, dirich, MacroBC(MacroBCKind.ROBIN, "right", 0.0, None, ()), x
-    )
+    # d_0 = d_L = 0: the phase equation's root is q = pi / L exactly
+    lam_dir, m_dir = c * (math.pi / L) ** 2, np.sin(math.pi / L * x)
 
     win = slice(lo, hi + 1)
 

@@ -127,7 +127,7 @@ def clamped_dense(spec):
     """
     from latticebc.validate import _interior_system
 
-    band, mass = _interior_system(spec)
+    band, mass, _ = _interior_system(spec)
     root = np.sqrt(mass)
     return root[:, None] * band_dense(band) * root[None, :], mass
 

@@ -17,6 +17,7 @@ from latticebc import (
     spectrum_checks,
     validate,
 )
+from latticebc.cli import config_from_dict, preset_config
 from latticebc.errors import EigenSolveError, KindUnsupported, NoRootInBracket
 from conftest import clamped_dense, make_spec, random_spec
 
@@ -88,13 +89,6 @@ class TestMicroscale:
         assert np.max(np.abs(shape - scale * ref)) < 1e-10 * abs(scale)
 
 
-def dense_slowest(spec):
-    """Reference: every eigenpair of the clamped system, densely."""
-    K, mass = clamped_dense(spec)
-    lam, vecs = scipy.linalg.eigh(K, np.diag(mass))
-    return lam[0], vecs[:, 0].reshape(spec.N - 1, spec.s)
-
-
 def loop_stiffness(spec):
     """Clamped stiffness K = -S over masses n = 1..N-1, spring by spring."""
     s, p, N = spec.s, spec.p, spec.N
@@ -118,16 +112,55 @@ def loop_stiffness(spec):
     return K
 
 
-def count_solves(monkeypatch):
-    """Record every dpbtrs call of microscale_slowest_mode."""
-    real, calls = validate.dpbtrs, []
+def loop_mass(spec):
+    """Mass diagonal h^2 rho over masses n = 1..N-1, mass by mass."""
+    return np.array([spec.h ** 2 * spec.rho[n % spec.p, j]
+                     for n in range(1, spec.N) for j in range(spec.s)])
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
 
-    monkeypatch.setattr(validate, "dpbtrs", counted)
+def dense_slowest(spec):
+    """Reference: every eigenpair of the spring-by-spring clamped system,
+    densely; it shares no code with the solver's assembly."""
+    lam, vecs = scipy.linalg.eigh(loop_stiffness(spec), np.diag(loop_mass(spec)))
+    return lam[0], vecs[:, 0].reshape(spec.N - 1, spec.s)
+
+
+def count_lapack(monkeypatch):
+    """Record the name of every dpbtrf and dpbtrs call of
+    microscale_slowest_mode."""
+    calls = []
+    for name in ("dpbtrf", "dpbtrs"):
+        def counted(*args, _name=name, _real=getattr(validate, name), **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(validate, name, counted)
     return calls
+
+
+def contrast_spec(rng, D):
+    """Connected lattice with every parameter 10^U(-D, D), s 1-4, p 1-5 and
+    N 50-1500."""
+    s, p, N = int(rng.integers(1, 5)), int(rng.integers(1, 6)), int(rng.integers(50, 1501))
+    kc = np.zeros((p, s, s))
+    iu = np.triu_indices(s, 1)
+    kc[:, iu[0], iu[1]] = 10.0 ** rng.uniform(-D, D, (p, iu[0].size))
+    kc += kc.transpose(0, 2, 1)
+    return make_spec(s, p, 10.0 ** rng.uniform(-D, D, (p, s)), kc,
+                     10.0 ** rng.uniform(-D, D, (p, s)), N=N)
+
+
+def sparse_lowest(band):
+    """Reference: the lowest eigenvalue of the symmetric band by ARPACK
+    shift-invert at 0 on a sparse matrix."""
+    import scipy.sparse
+    import scipy.sparse.linalg
+
+    n = band.shape[1]
+    offsets = range(band.shape[0])
+    lower = scipy.sparse.diags([band[d, : n - d] for d in offsets], [-d for d in offsets])
+    K = (lower + scipy.sparse.triu(lower.T, 1)).tocsc()
+    return scipy.sparse.linalg.eigsh(K, k=1, sigma=0.0, which="LM", return_eigenvectors=False)[0]
 
 
 def unit_avg(w):
@@ -139,7 +172,7 @@ class TestSparseEigensolve:
     def test_assembly_is_sparse(self, demo2x2_spec):
         from latticebc.validate import _interior_system
 
-        band, mass = _interior_system(demo2x2_spec)
+        band, mass, _ = _interior_system(demo2x2_spec)
         assert band.shape == (3, 30) and mass.shape == (30,)
         K, _ = clamped_dense(demo2x2_spec)
         # two strands: 2 diagonal + 2 cross entries per column, 2 links per step
@@ -168,11 +201,10 @@ class TestSparseEigensolve:
         kl = np.array([[1.0], [0.9]]) + 1e-3 * rng.uniform(-1, 1, (p, s))
         rho = 1.0 + 1e-3 * rng.uniform(-1, 1, (p, s))
         spec = make_spec(s, p, kl, cross, rho, N=N)
-        solves = count_solves(monkeypatch)
+        calls = count_lapack(monkeypatch)
         lam, w, residual = microscale_slowest_mode(spec)
-        assert len(solves) <= 20
-        K = loop_stiffness(spec)
-        mass = spec.h ** 2 * spec.rho[np.arange(1, N) % p].ravel()
+        assert calls.count("dpbtrs") <= 20
+        K, mass = loop_stiffness(spec), loop_mass(spec)
         lam_ref = scipy.linalg.eigh(K, np.diag(mass), eigvals_only=True, subset_by_index=[0, 0])[0]
         assert lam == pytest.approx(lam_ref, rel=1e-9)
         v = w[1:-1].ravel()
@@ -190,9 +222,9 @@ class TestSparseEigensolve:
         cross = np.full((1, 2, 2), 1e-9)
         cross[0, 0, 0] = cross[0, 1, 1] = 0.0
         spec = make_spec(2, 1, [[1.001 * contrast, 1.0]], cross, [[contrast, 1.0]], N=100)
-        solves = count_solves(monkeypatch)
+        calls = count_lapack(monkeypatch)
         lam, w, residual = microscale_slowest_mode(spec)
-        assert len(solves) <= 20
+        assert calls.count("dpbtrs") <= 20
         lam_ref, _ = dense_slowest(spec)
         assert lam == pytest.approx(lam_ref, rel=1e-9)
         assert residual <= 1e-10
@@ -200,10 +232,48 @@ class TestSparseEigensolve:
 
     def test_long_demo_domain_takes_few_solves(self, demo2x2_spec, monkeypatch):
         spec = dataclasses.replace(demo2x2_spec, N=1000)
-        solves = count_solves(monkeypatch)
+        calls = count_lapack(monkeypatch)
         lam, _, residual = microscale_slowest_mode(spec)
-        assert len(solves) <= 10
+        assert calls.count("dpbtrf") <= 3 and calls.count("dpbtrs") <= 3
         assert 0.0 < lam and residual <= 1e-9
+
+    @pytest.mark.parametrize("name", ["demo-5x10", "s3p8"])
+    def test_long_domains_take_three_factors(self, name, monkeypatch):
+        # the half-wave start and Temple-aimed shifts: the unshifted
+        # factor, one aimed shift and one certified shift, a solve each
+        if name == "demo-5x10":
+            spec = config_from_dict(preset_config(name, h=2 * np.pi / 46), {"N": 230}).spec
+        else:
+            spec = random_spec(np.random.default_rng(1), 3, 8, N=480)
+        calls = count_lapack(monkeypatch)
+        lam, _, residual = microscale_slowest_mode(spec)
+        assert calls.count("dpbtrf") <= 3 and calls.count("dpbtrs") <= 3
+        assert 0.0 < lam and residual <= 1e-9
+
+    def test_contrast_census(self):
+        # Parameters spread over up to six decades.  Each lambda lies in its
+        # certified bracket [lambda (1 - 1e-8), lambda], widened by the
+        # rounding of K~ (64 eps times its Gershgorin bound) that neither
+        # solver can resolve, or the solve refuses to certify it, which it
+        # may only where that rounding rivals the bracket.  The reference
+        # works on the solver's own K~: an assembly rounded otherwise moves
+        # lambda by up to ~5e-7 on such draws.
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(23)
+        for D in (0.5, 1.0, 2.0, 3.0):
+            for _ in range(25):
+                spec = contrast_spec(rng, D)
+                band, _, gershgorin = validate._interior_system(spec)
+                lam_ref = sparse_lowest(band)
+                rounding = 64 * eps * gershgorin
+                try:
+                    lam, _, residual = microscale_slowest_mode(spec)
+                except EigenSolveError as exc:
+                    assert "not certified smallest" in str(exc) and rounding > 1e-8 * lam_ref
+                    continue
+                assert lam * (1 - 1e-8) - rounding <= lam_ref <= lam + rounding
+                # the relative residual's rounding floor is eps ||K~|| / lambda
+                assert residual <= max(1e-9, eps * gershgorin / lam)
 
     def test_agrees_with_dense_on_random_lattices(self):
         rng = np.random.default_rng(2024)
@@ -404,6 +474,17 @@ class TestCompare:
         assert comp.interior_error_robin < 1e-6
         assert comp.interior_error_dirichlet < 1e-6
         assert abs(comp.interior_error_robin - comp.interior_error_dirichlet) < 1e-6
+
+    def test_naive_dirichlet_in_closed_form(self, demo2x2_spec):
+        # d_0 = d_L = 0: the phase root is pi / L, as the root finder gets it
+        sm = construct_slow_manifold(demo2x2_spec)
+        zeros = MicroBCSpec.dirichlet_zero(2)
+        comp = compare_modes(demo2x2_spec, sm, left_end_bc(demo2x2_spec, zeros),
+                             right_end_bc(demo2x2_spec, zeros))
+        lam, mode = macroscale_slowest_mode(sm.c, 16.0, robin(0.0), robin(0.0, "right"),
+                                            comp.x_grid)
+        assert comp.lambda_dirichlet == pytest.approx(lam, rel=1e-14)
+        assert np.max(np.abs(comp.macro_dirichlet - mode / np.max(np.abs(mode)))) < 1e-14
 
     def test_density_rescaling(self, demo2x2_spec):
         sm = construct_slow_manifold(demo2x2_spec)
