@@ -2,7 +2,6 @@
 conditions for s-strand, p-periodic spring-mass lattices."""
 
 from .boundary import (
-    ConstraintSystem,
     MacroBC,
     MacroBCKind,
     assemble_constraints,
@@ -26,7 +25,6 @@ from .errors import (
     UnexpectedSpectrum,
 )
 from .homogenize import (
-    ClosedFormResult,
     SlowManifold,
     closed_form_two_strand,
     construct_slow_manifold,

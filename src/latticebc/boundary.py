@@ -50,27 +50,6 @@ class MacroBCKind(str, Enum):
 
 
 @dataclass
-class ConstraintSystem:
-    """Boundary constraint matrix with bookkeeping for its RHS slots.
-
-    Columns: (stable coefficients, constant mode, generalized mode).
-    Rows: the microscale data rows, then U, then dU/dx.  `data_scale`
-    maps user-facing data to the RHS entry of its row (e.g. a flux datum
-    d enters the RHS as h*d).
-    """
-
-    matrix: np.ndarray
-    rhs_labels: tuple
-    data_scale: np.ndarray
-    kind: BCKind
-    side: str
-
-    @property
-    def n_data(self) -> int:
-        return len(self.data_scale)
-
-
-@dataclass
 class MacroBC:
     """One derived macroscale boundary condition.
 
@@ -89,14 +68,6 @@ class MacroBC:
     slope_weights: np.ndarray | None = None
 
 
-def _check_mixed_side(kind: BCKind, side: str) -> None:
-    if kind == BCKind.MIXED and side == "right":
-        raise KindUnsupported(
-            "the mixed problem yields both macroscale conditions at the left end; "
-            "the right-end datum adds none"
-        )
-
-
 def _check_value_shape(bc: MicroBCSpec, s: int) -> None:
     shape = bc.value_shape(s)
     if bc.values.shape != shape:
@@ -105,17 +76,31 @@ def _check_value_shape(bc: MicroBCSpec, s: int) -> None:
         )
 
 
-def assemble_constraints(
-    cm: CellMap, bc: MicroBCSpec, spec: LatticeSpec
-) -> ConstraintSystem:
-    """Build the (s+2) x (s+1) constraint system (s+3 rows for mixed)."""
-    s, p, h = spec.s, spec.p, spec.h
+def _check_args(cm: CellMap, bc: MicroBCSpec, s: int) -> None:
+    """Checks that both derivations make on (cm, bc) for an s-strand spec."""
     if cm.s != s:
         raise SpecValidationError([f"cell map is for {cm.s} strands, spec has {s}"])
     if bc.kind in (BCKind.CAUCHY_LIKE, BCKind.MIXED) and s != 2:
         raise KindUnsupported(f"{bc.kind.value} boundary conditions require s = 2, got s = {s}")
-    _check_mixed_side(bc.kind, bc.side)
+    if bc.kind == BCKind.MIXED and bc.side == "right":
+        raise KindUnsupported(
+            "the mixed problem yields both macroscale conditions at the left end; "
+            "the right-end datum adds none"
+        )
     _check_value_shape(bc, s)
+
+
+def assemble_constraints(cm: CellMap, bc: MicroBCSpec, spec: LatticeSpec):
+    """Build the (s+2) x (s+1) constraint matrix (s+3 rows for mixed).
+
+    Returns (M, data_scale, labels).  Columns of M: stable coefficients,
+    constant mode, generalized mode.  Rows: the microscale data rows,
+    then U, then dU/dx.  `data_scale` maps each datum to the right-hand
+    side entry of its row (a flux datum d enters as h*d), and `labels`
+    names the data.
+    """
+    s, p, h = spec.s, spec.p, spec.h
+    _check_args(cm, bc, s)
 
     # Basis columns restricted to the centre-stable modes.
     V = np.column_stack([cm.stable_vectors, cm.center_vector, cm.generalized_vector])
@@ -127,13 +112,10 @@ def assemble_constraints(
     M[n_data, s - 1] = 1.0        # U row, constant column
     M[n_data, s] = gamma_u        # U row, generalized column
     M[n_data + 1, s] = 1.0 / (p * h)  # slope row, generalized column
-    return ConstraintSystem(
-        matrix=M, rhs_labels=labels + ("U", "dU/dx"), data_scale=scale, kind=bc.kind,
-        side=bc.side,
-    )
+    return M, scale, labels
 
 
-def derive_macro_bc(cs: ConstraintSystem) -> MacroBC:
+def derive_macro_bc(cm: CellMap, bc: MicroBCSpec, spec: LatticeSpec) -> MacroBC:
     """Solvability condition of the constraint system, normalized.
 
     The left null space of M comes from the SVD (singular values below
@@ -142,102 +124,87 @@ def derive_macro_bc(cs: ConstraintSystem) -> MacroBC:
     zero U weight and is reported as a Neumann condition.  The mixed kind
     gives two null vectors, solved for the Cauchy pair.
     """
-    M = cs.matrix
-    n_data = cs.n_data
+    M, data_scale, labels = assemble_constraints(cm, bc, spec)
+    n_data = len(data_scale)
     U, sigma, _, info = dgesdd(M, compute_uv=1, full_matrices=1)
     if info != 0:
         raise EigenSolveError(f"SVD of the constraint matrix failed (dgesdd info {info})")
     rank = int(np.sum(sigma > NULL_TOL * sigma[0]))
     null = U[:, rank:]
-    expected = 2 if cs.kind == BCKind.MIXED else 1
+    expected = 2 if bc.kind == BCKind.MIXED else 1
     if null.shape[1] != expected:
         raise NullSpaceDimension(
-            f"left null space of the {cs.kind.value} system has dimension "
+            f"left null space of the {bc.kind.value} system has dimension "
             f"{null.shape[1]}, expected {expected}; singular values {sigma}"
         )
 
-    data_labels = cs.rhs_labels[:n_data]
-    if cs.kind == BCKind.MIXED:
+    if bc.kind == BCKind.MIXED:
         # w^T rhs = 0 for both basis vectors: two equations in (U, dU/dx).
         G = null[n_data:, :].T            # (2, 2)
-        Dw = (null[:n_data, :] * cs.data_scale[:, None]).T  # (2, n_data)
+        Dw = (null[:n_data, :] * data_scale[:, None]).T  # (2, n_data)
         if np.linalg.cond(G) > 1e12:
             raise NullSpaceDimension("cannot solve the mixed pair: degenerate (U, dU/dx) block")
         W = -np.linalg.solve(G, Dw)
         return MacroBC(
             kind=MacroBCKind.CAUCHY_PAIR,
-            side=cs.side,
+            side=bc.side,
             d=None,
             rhs_weights=None,
-            rhs_labels=data_labels,
+            rhs_labels=labels,
             value_weights=W[0],
             slope_weights=W[1],
         )
 
     w = null[:, 0]
-    w_data = w[:n_data] * cs.data_scale
+    w_data = w[:n_data] * data_scale
     w_u = w[n_data]
     w_f = w[n_data + 1]
     wnorm = np.linalg.norm(w)
     if abs(w_u) >= NULL_TOL * wnorm:
         return MacroBC(
             kind=MacroBCKind.ROBIN,
-            side=cs.side,
+            side=bc.side,
             d=float(w_f / w_u),
             rhs_weights=-w_data / w_u,
-            rhs_labels=data_labels,
+            rhs_labels=labels,
         )
     if abs(w_f) < NULL_TOL * wnorm:
         raise NullSpaceDimension("null vector has neither U nor dU/dx weight")
     return MacroBC(
         kind=MacroBCKind.NEUMANN,
-        side=cs.side,
+        side=bc.side,
         d=None,
         rhs_weights=-w_data / w_f,
-        rhs_labels=data_labels,
+        rhs_labels=labels,
     )
 
 
-def _two_strand_eigendata(cm: CellMap):
-    if cm.s != 2:
-        raise KindUnsupported("closed forms are derived for two strands only")
-    v1 = cm.stable_vectors[:, 0]
-    v3 = cm.generalized_vector
-    q = 0.25 * (v3.sum() - 1.0)
-    return v1, v3, q
-
-
-def closed_form_bc(
-    kind: BCKind, cm: CellMap, spec: LatticeSpec, values=None, side: str = "left"
-) -> MacroBC:
+def closed_form_bc(cm: CellMap, bc: MicroBCSpec, spec: LatticeSpec) -> MacroBC:
     """Literal closed-form boundary conditions for s = 2, p = 2.
 
     Evaluates the explicit two-strand expressions with the same
     eigenvectors the numeric path uses; serves as its cross-oracle.
     Fails by zero division when the stable eigenvector has equal first
     components (strand-symmetric lattices); the SVD route is the
-    authoritative one there.  For side "right", pass the reversed lattice
-    (`reversed_spec`) and its cell map: the result gets right_end_bc's
-    chain-rule sign flip, and the mixed kind raises KindUnsupported.
-    Only robin_like's weights read the values (its d_j), so the other
-    kinds may omit them; values that are given must have the kind's
-    shape, or SpecValidationError is raised.
+    authoritative one there.  For a right-end bc, pass the reversed
+    lattice (`reversed_spec`) and its cell map: the result gets
+    right_end_bc's chain-rule sign flip.  The arguments are checked as
+    in `assemble_constraints`.
     """
-    kind = BCKind(kind)
     if spec.s != 2 or spec.p != 2:
         raise KindUnsupported(
             f"closed forms require s = 2, p = 2, got s = {spec.s}, p = {spec.p}"
         )
-    _check_mixed_side(kind, side)
-    bc = MicroBCSpec(kind, () if values is None else values, side)
-    if values is not None or kind == BCKind.ROBIN_LIKE:
-        _check_value_shape(bc, 2)
-    mb = _closed_form_left(kind, cm, spec.h, bc.values, bc.data_rows(2, spec.h)[2])
-    return _mirror(mb) if side == "right" else mb
+    _check_args(cm, bc, 2)
+    mb = _closed_form_left(cm, bc, spec.h)
+    return _mirror(mb) if bc.side == "right" else mb
 
 
-def _closed_form_left(kind: BCKind, cm: CellMap, h: float, values, labels) -> MacroBC:
-    v1, v3, q = _two_strand_eigendata(cm)
+def _closed_form_left(cm: CellMap, bc: MicroBCSpec, h: float) -> MacroBC:
+    kind, values, labels = bc.kind, bc.values, bc.data_rows(2, h)[2]
+    v1 = cm.stable_vectors[:, 0]
+    v3 = cm.generalized_vector
+    q = 0.25 * (v3.sum() - 1.0)
 
     if kind == BCKind.DIRICHLET:
         delta = v1[0] - v1[1]
@@ -303,7 +270,7 @@ def _closed_form_left(kind: BCKind, cm: CellMap, h: float, values, labels) -> Ma
 
 def left_end_bc(spec: LatticeSpec, bc: MicroBCSpec) -> MacroBC:
     """Full left-end pipeline: cell map, constraints, solvability."""
-    return derive_macro_bc(assemble_constraints(build_cell_map(spec), bc, spec))
+    return derive_macro_bc(build_cell_map(spec), bc, spec)
 
 
 def right_end_bc(spec: LatticeSpec, bc: MicroBCSpec) -> MacroBC:

@@ -267,8 +267,10 @@ def cmd_homogenize(cfg: RunConfig) -> dict:
         "residual_norm": sm.residual_norm,
     }
     if spec.s == 2 and spec.p == 2:
-        cf = homogenize.closed_form_two_strand(spec)
-        report["closed_form"] = {"rho_bar": cf.rho_bar, "kappa_bar": cf.kappa_bar, "c": cf.c}
+        rho_bar, kappa_bar = homogenize.closed_form_two_strand(spec)
+        report["closed_form"] = {
+            "rho_bar": rho_bar, "kappa_bar": kappa_bar, "c": kappa_bar / rho_bar,
+        }
     if cfg.reference:
         report["reference"] = dict(cfg.reference)
     rows = [
@@ -283,8 +285,7 @@ def cmd_homogenize(cfg: RunConfig) -> dict:
 def cmd_derive_bc(cfg: RunConfig) -> dict:
     spec = cfg.spec
     cm = boundary.build_cell_map(spec)
-    cs = boundary.assemble_constraints(cm, cfg.micro_bc_left, spec)
-    left = boundary.derive_macro_bc(cs)
+    left = boundary.derive_macro_bc(cm, cfg.micro_bc_left, spec)
     if cfg.micro_bc_left.kind == BCKind.MIXED:
         right = None
     else:
@@ -296,7 +297,7 @@ def cmd_derive_bc(cfg: RunConfig) -> dict:
         "h": spec.h,
     }
     if spec.s == 2 and spec.p == 2 and cfg.micro_bc_left.kind == BCKind.DIRICHLET:
-        cf = boundary.closed_form_bc(BCKind.DIRICHLET, cm, spec)
+        cf = boundary.closed_form_bc(cm, cfg.micro_bc_left, spec)
         report["closed_form_left"] = {
             "d_over_h": cf.d / spec.h,
             "rhs_weights": list(cf.rhs_weights),

@@ -59,16 +59,6 @@ class SlowManifold:
     residual_norm: float
 
 
-@dataclass
-class ClosedFormResult:
-    rho_bar: float
-    kappa_bar: float
-
-    @property
-    def c(self) -> float:
-        return self.kappa_bar / self.rho_bar
-
-
 def construct_slow_manifold(spec: LatticeSpec) -> SlowManifold:
     """Iterate shape and evolution corrections until the residual is zero.
 
@@ -160,8 +150,8 @@ def construct_slow_manifold(spec: LatticeSpec) -> SlowManifold:
     )
 
 
-def closed_form_two_strand(spec: LatticeSpec) -> ClosedFormResult:
-    """Closed-form effective density and elasticity, s = p = 2 only.
+def closed_form_two_strand(spec: LatticeSpec) -> tuple[float, float]:
+    """Closed-form (rho_bar, kappa_bar), s = p = 2 only; c = kappa_bar / rho_bar.
 
     rho_bar is the plain average of the four densities.  kappa_bar is the
     rational function of the four longitudinal elasticities kl[m, j] and
@@ -185,7 +175,7 @@ def closed_form_two_strand(spec: LatticeSpec) -> ClosedFormResult:
         kl
     ) * np.sum(1.0 / kl)
     den = prod_cross * kl.sum() + sum_cross * (kl[1, 1] + kl[0, 1]) * (kl[1, 0] + kl[0, 0])
-    return ClosedFormResult(rho_bar=float(spec.rho.mean()), kappa_bar=float(num / den))
+    return float(spec.rho.mean()), float(num / den)
 
 
 def dispersion_eigenvalues(spec: LatticeSpec, k: float) -> np.ndarray:

@@ -9,6 +9,7 @@ from latticebc import (
     KindUnsupported,
     MacroBCKind,
     MicroBCSpec,
+    NullSpaceDimension,
     SpecValidationError,
     assemble_constraints,
     build_cell_map,
@@ -40,7 +41,7 @@ class TestAssembly:
     def test_dirichlet_layout_two_strand(self, demo2x2_spec):
         cm = build_cell_map(demo2x2_spec)
         bc = MicroBCSpec.dirichlet_zero(2)
-        cs = assemble_constraints(cm, bc, demo2x2_spec)
+        M, _, _ = assemble_constraints(cm, bc, demo2x2_spec)
         v1 = cm.stable_vectors[:, 0]
         v3 = cm.generalized_vector
         h = demo2x2_spec.h
@@ -50,14 +51,14 @@ class TestAssembly:
             [0.0, 1.0, 0.25 * (v3.sum() - 1.0)],
             [0.0, 0.0, 1.0 / (2.0 * h)],
         ])
-        assert cs.matrix.shape == (4, 3)
-        assert np.max(np.abs(cs.matrix - expected)) < 1e-12
+        assert M.shape == (4, 3)
+        assert np.max(np.abs(M - expected)) < 1e-12
 
     def test_flux_rows_have_zero_constant_column(self, demo2x2_spec):
         cm = build_cell_map(demo2x2_spec)
-        cs = assemble_constraints(cm, MicroBCSpec(BCKind.FLUX, np.zeros(2)), demo2x2_spec)
-        assert np.allclose(cs.matrix[:2, 1], 0.0)
-        assert cs.data_scale == pytest.approx([demo2x2_spec.h] * 2)
+        M, scale, _ = assemble_constraints(cm, MicroBCSpec(BCKind.FLUX, np.zeros(2)), demo2x2_spec)
+        assert np.allclose(M[:2, 1], 0.0)
+        assert scale == pytest.approx([demo2x2_spec.h] * 2)
 
     def test_general_extrapolation_matches_two_periodic_row(self):
         # mean(first-cell generalized mode) - (p-1)/(2p) must reduce to
@@ -66,17 +67,17 @@ class TestAssembly:
         for _ in range(10):
             spec = random_spec(rng, 2, 2)
             cm = build_cell_map(spec)
-            cs = assemble_constraints(cm, MicroBCSpec.dirichlet_zero(2), spec)
+            M, _, _ = assemble_constraints(cm, MicroBCSpec.dirichlet_zero(2), spec)
             v3 = cm.generalized_vector
-            assert cs.matrix[2, 2] == pytest.approx(0.25 * (v3.sum() - 1.0), abs=1e-12)
+            assert M[2, 2] == pytest.approx(0.25 * (v3.sum() - 1.0), abs=1e-12)
 
     def test_mixed_has_extra_row(self, demo2x2_spec):
         cm = build_cell_map(demo2x2_spec)
-        cs = assemble_constraints(
+        M, _, labels = assemble_constraints(
             cm, MicroBCSpec(BCKind.MIXED, np.array([0.1, 0.2, 0.3])), demo2x2_spec
         )
-        assert cs.matrix.shape == (5, 3)
-        assert cs.rhs_labels[:3] == ("b[0,0]", "b[1,0]", "b[0,1]")
+        assert M.shape == (5, 3)
+        assert labels == ("b[0,0]", "b[1,0]", "b[0,1]")
 
     def test_cauchy_like_requires_two_strands(self):
         rng = np.random.default_rng(32)
@@ -123,24 +124,22 @@ class TestDataRows:
         spec = demo2x2_spec if s == 2 else _s4_spec()
         cm = build_cell_map(spec)
         values = micro_values(np.random.default_rng(38), kind, s)
-        cs = assemble_constraints(cm, MicroBCSpec(kind, values), spec)
+        M, scale, _ = assemble_constraints(cm, MicroBCSpec(kind, values), spec)
         basis = [*cm.stable_vectors.T, cm.center_vector, cm.generalized_vector]
         expected = np.array([ROWS[kind](v, s, values, spec.h) for v in basis]).T
         n_data = expected.shape[0]
-        assert cs.matrix.shape == (n_data + 2, s + 1)
-        np.testing.assert_allclose(cs.matrix[:n_data], expected, rtol=1e-13, atol=1e-15)
-        scale = np.full(n_data, spec.h if kind == BCKind.FLUX else 1.0)
-        assert np.array_equal(cs.data_scale, scale)
+        assert M.shape == (n_data + 2, s + 1)
+        np.testing.assert_allclose(M[:n_data], expected, rtol=1e-13, atol=1e-15)
+        assert np.array_equal(scale, np.full(n_data, spec.h if kind == BCKind.FLUX else 1.0))
 
     @pytest.mark.parametrize("side,kind", list(LABELS))
     def test_labels_both_sides(self, demo2x2_spec, side, kind):
         values = micro_values(np.random.default_rng(39), kind, 2)
         spec = demo2x2_spec if side == "left" else reversed_spec(demo2x2_spec)
         cm = build_cell_map(spec)
-        cs = assemble_constraints(cm, MicroBCSpec(kind, values, side), spec)
-        assert cs.rhs_labels == LABELS[side, kind] + ("U", "dU/dx")
-        cf = closed_form_bc(kind, cm, spec, values=values, side=side)
-        assert cf.rhs_labels == LABELS[side, kind]
+        bc = MicroBCSpec(kind, values, side)
+        assert assemble_constraints(cm, bc, spec)[2] == LABELS[side, kind]
+        assert closed_form_bc(cm, bc, spec).rhs_labels == LABELS[side, kind]
 
     @pytest.mark.parametrize("kind,values", [
         (BCKind.DIRICHLET, np.zeros(3)),
@@ -151,23 +150,18 @@ class TestDataRows:
     ])
     def test_wrong_value_shape_is_typed(self, demo2x2_spec, kind, values):
         cm = build_cell_map(demo2x2_spec)
+        bc = MicroBCSpec(kind, values)
+        for derive in (assemble_constraints, derive_macro_bc, closed_form_bc):
+            with pytest.raises(SpecValidationError, match="values must have shape"):
+                derive(cm, bc, demo2x2_spec)
         with pytest.raises(SpecValidationError, match="values must have shape"):
-            assemble_constraints(cm, MicroBCSpec(kind, values), demo2x2_spec)
-        with pytest.raises(SpecValidationError, match="values must have shape"):
-            left_end_bc(demo2x2_spec, MicroBCSpec(kind, values))
-        with pytest.raises(SpecValidationError, match="values must have shape"):
-            closed_form_bc(kind, cm, demo2x2_spec, values=values)
-
-    def test_closed_form_robin_like_needs_values(self, demo2x2_spec):
-        # Its d_j enter the weights; the other kinds' weights read no values.
-        cm = build_cell_map(demo2x2_spec)
-        with pytest.raises(SpecValidationError, match=r"robin_like values must have shape \(2, 2\)"):
-            closed_form_bc(BCKind.ROBIN_LIKE, cm, demo2x2_spec)
+            left_end_bc(demo2x2_spec, bc)
 
     def test_mismatched_cell_map_is_typed(self, demo2x2_spec):
         cm = build_cell_map(_s4_spec())
-        with pytest.raises(SpecValidationError, match="cell map is for 4 strands"):
-            assemble_constraints(cm, MicroBCSpec.dirichlet_zero(2), demo2x2_spec)
+        for derive in (assemble_constraints, derive_macro_bc, closed_form_bc):
+            with pytest.raises(SpecValidationError, match="cell map is for 4 strands"):
+                derive(cm, MicroBCSpec.dirichlet_zero(2), demo2x2_spec)
 
     @pytest.mark.parametrize("h,want", [
         pytest.param(np.inf, ["non-finite h"], id="inf"),
@@ -220,9 +214,8 @@ class TestDeriveTwoStrand:
         seen = set()
         for kind in ALL_KINDS:
             bc = MicroBCSpec(kind, micro_values(rng, kind, 2))
-            cs = assemble_constraints(cm, bc, demo2x2_spec)
-            mb = derive_macro_bc(cs)
-            sc = cs.data_scale
+            M, sc, _ = assemble_constraints(cm, bc, demo2x2_spec)
+            mb = derive_macro_bc(cm, bc, demo2x2_spec)
             if mb.kind == MacroBCKind.ROBIN:
                 rows = [(-mb.rhs_weights / sc, 1.0, mb.d)]
             elif mb.kind == MacroBCKind.NEUMANN:
@@ -232,7 +225,7 @@ class TestDeriveTwoStrand:
             seen.add(mb.kind)
             for data, u, slope in rows:
                 r = np.concatenate([data, [u, slope]])
-                assert np.linalg.norm(r @ cs.matrix) <= 1e-9 * np.linalg.norm(cs.matrix)
+                assert np.linalg.norm(r @ M) <= 1e-9 * np.linalg.norm(M)
         assert seen == set(MacroBCKind)
 
     def test_numeric_matches_closed_forms(self):
@@ -241,9 +234,9 @@ class TestDeriveTwoStrand:
             spec = random_spec(rng, 2, 2, h=float(rng.uniform(0.3, 2.0)))
             cm = build_cell_map(spec)
             for kind in ALL_KINDS:
-                values = micro_values(rng, kind, 2)
-                mb = derive_macro_bc(assemble_constraints(cm, MicroBCSpec(kind, values), spec))
-                cf = closed_form_bc(kind, cm, spec, values=values)
+                bc = MicroBCSpec(kind, micro_values(rng, kind, 2))
+                mb = derive_macro_bc(cm, bc, spec)
+                cf = closed_form_bc(cm, bc, spec)
                 assert mb.kind == cf.kind
                 if mb.kind == MacroBCKind.CAUCHY_PAIR:
                     assert np.allclose(mb.value_weights, cf.value_weights, rtol=1e-9, atol=1e-12)
@@ -256,8 +249,8 @@ class TestDeriveTwoStrand:
     def test_robin_like_reduces_to_dirichlet(self, demo2x2_spec):
         cm = build_cell_map(demo2x2_spec)
         values = np.array([[0.0, 0.4], [0.0, -0.2]])  # d = 0 pairs
-        robin = closed_form_bc(BCKind.ROBIN_LIKE, cm, demo2x2_spec, values=values)
-        dirich = closed_form_bc(BCKind.DIRICHLET, cm, demo2x2_spec)
+        robin = closed_form_bc(cm, MicroBCSpec(BCKind.ROBIN_LIKE, values), demo2x2_spec)
+        dirich = closed_form_bc(cm, MicroBCSpec.dirichlet_zero(2), demo2x2_spec)
         assert robin.d == pytest.approx(dirich.d, rel=1e-12)
         assert np.allclose(robin.rhs_weights, dirich.rhs_weights, rtol=1e-12)
 
@@ -271,8 +264,8 @@ class TestDeriveTwoStrand:
             stable_vectors=cm.stable_vectors[[0, 2, 1, 3], :],
             generalized_vector=cm.generalized_vector[[0, 2, 1, 3]],
         )
-        cauchy = closed_form_bc(BCKind.CAUCHY_LIKE, cm, demo2x2_spec)
-        renamed = closed_form_bc(BCKind.DIRICHLET, swapped, demo2x2_spec)
+        cauchy = closed_form_bc(cm, MicroBCSpec(BCKind.CAUCHY_LIKE, np.zeros(2)), demo2x2_spec)
+        renamed = closed_form_bc(swapped, MicroBCSpec.dirichlet_zero(2), demo2x2_spec)
         # the slope term also contains the unswapped quarter-sum, which
         # is permutation invariant, so d values agree exactly
         assert cauchy.d == pytest.approx(renamed.d, rel=1e-12)
@@ -293,15 +286,30 @@ class TestDeriveTwoStrand:
         cm = build_cell_map(demo2x2_spec)
         v_deg = np.array([0.5, 0.5, -0.3, 0.8])
         deg = dataclasses.replace(cm, stable_vectors=v_deg[:, None])
-        mb = derive_macro_bc(assemble_constraints(cm=deg, bc=MicroBCSpec.dirichlet_zero(2),
-                                                  spec=demo2x2_spec))
+        mb = derive_macro_bc(deg, MicroBCSpec.dirichlet_zero(2), demo2x2_spec)
         assert mb.kind in (MacroBCKind.ROBIN, MacroBCKind.NEUMANN)
         assert np.all(np.isfinite(mb.rhs_weights))
         if mb.d is not None:
             assert np.isfinite(mb.d)
         with np.errstate(divide="ignore", invalid="ignore"):
-            cf = closed_form_bc(BCKind.DIRICHLET, deg, demo2x2_spec)
+            cf = closed_form_bc(deg, MicroBCSpec.dirichlet_zero(2), demo2x2_spec)
         assert not np.isfinite(cf.d)
+
+    @pytest.mark.parametrize("changes,bc,match", [
+        pytest.param({"stable_vectors": np.zeros((4, 1))}, MicroBCSpec.dirichlet_zero(2),
+                     "dimension 2, expected 1", id="rank"),
+        pytest.param({"stable_vectors": np.array([[0.5], [0.5], [0.2], [0.9]]),
+                      "generalized_vector": np.array([0.0, 0.0, 0.3, 0.7])},
+                     MicroBCSpec.dirichlet_zero(2), "neither U nor dU/dx weight", id="weightless"),
+        pytest.param({"generalized_vector": np.zeros(4), "first_cell_gen": np.full(4, 0.25)},
+                     MicroBCSpec(BCKind.MIXED, np.zeros(3)), "degenerate", id="mixed-pair"),
+    ])
+    def test_degenerate_eigendata_is_typed(self, demo2x2_spec, changes, bc, match):
+        # synthetic cell maps whose constraint system has no usable
+        # solvability condition
+        cm = dataclasses.replace(build_cell_map(demo2x2_spec), **changes)
+        with pytest.raises(NullSpaceDimension, match=match):
+            derive_macro_bc(cm, bc, demo2x2_spec)
 
 
 class TestGaugeInvariance:
@@ -311,7 +319,7 @@ class TestGaugeInvariance:
             spec = random_spec(rng, 2, 2)
             cm = build_cell_map(spec)
             bc = MicroBCSpec.dirichlet_zero(2)
-            ref = derive_macro_bc(assemble_constraints(cm, bc, spec))
+            ref = derive_macro_bc(cm, bc, spec)
             shift = float(rng.uniform(-5, 5))
             scale = float(rng.uniform(0.1, 10) * rng.choice([-1, 1]))
             altered = dataclasses.replace(
@@ -320,7 +328,7 @@ class TestGaugeInvariance:
                 first_cell_gen=cm.first_cell_gen + shift,
                 stable_vectors=cm.stable_vectors * scale,
             )
-            got = derive_macro_bc(assemble_constraints(altered, bc, spec))
+            got = derive_macro_bc(altered, bc, spec)
             assert got.d == pytest.approx(ref.d, rel=1e-9, abs=1e-12)
             assert np.allclose(got.rhs_weights, ref.rhs_weights, rtol=1e-9, atol=1e-12)
 
@@ -361,17 +369,17 @@ class TestRightEnd:
             right_end_bc(demo2x2_spec, MicroBCSpec(BCKind.MIXED, np.zeros(1), side="right"))
         rs = reversed_spec(demo2x2_spec)
         with pytest.raises(KindUnsupported):
-            closed_form_bc(BCKind.MIXED, build_cell_map(rs), rs, np.zeros(1), side="right")
+            closed_form_bc(build_cell_map(rs), MicroBCSpec(BCKind.MIXED, np.zeros(1), "right"), rs)
 
     @pytest.mark.parametrize("kind", ALL_KINDS[:4])
     def test_closed_form_right_matches_pipeline(self, demo2x2_spec, kind):
         # closed_form_bc on the reversed lattice applies the same
         # chain-rule flip as right_end_bc: the Robin d and the Neumann
         # weights change sign.
-        values = micro_values(np.random.default_rng(41), kind, 2)
-        got = right_end_bc(demo2x2_spec, MicroBCSpec(kind, values, side="right"))
+        bc = MicroBCSpec(kind, micro_values(np.random.default_rng(41), kind, 2), side="right")
+        got = right_end_bc(demo2x2_spec, bc)
         rs = reversed_spec(demo2x2_spec)
-        cf = closed_form_bc(kind, build_cell_map(rs), rs, values, side="right")
+        cf = closed_form_bc(build_cell_map(rs), bc, rs)
         assert (cf.kind, cf.side, cf.rhs_labels) == (got.kind, "right", got.rhs_labels)
         if got.d is not None:
             assert abs(cf.d - got.d) <= 1e-12 * max(1.0, abs(got.d))
