@@ -13,14 +13,17 @@ macroscale boundary condition.
 
 Macroscale rows: stable modes have died out where the macroscale model
 lives, so the U row is (0 .. 0, 1, gamma_U) and the slope row is
-(0 .. 0, 0, 1/(p h)).  The generalized entry gamma_U extrapolates the
-cell averages of the generalized mode (which grow by exactly 1 per cell)
-back to the wall at x = 0:
+(0 .. 0, 0, 1/p).  The slope row is written in cell units, h dU/dx, so
+that no entry of M depends on h and the SVD sees the same matrix at every
+spacing; the derived d and weights take their factors of h afterwards.
+The generalized entry gamma_U extrapolates the cell averages of the
+generalized mode (which grow by exactly 1 per cell) back to the wall at
+x = 0:
 
     gamma_U = mean(first_cell_gen) - (p - 1) / (2 p)
 
-since the first cell's points have centroid (p-1)h/2 and the macroscale
-slope of that mode is 1/(p h).
+since the first cell's points have centroid (p-1)/2 in units of h and the
+slope of that mode is 1/p per unit of h.
 
 The mixed kind (two strands) has s+3 rows, a two-dimensional left null
 space, and yields a full Cauchy pair (both U and dU/dx prescribed) at
@@ -95,9 +98,9 @@ def assemble_constraints(cm: CellMap, bc: MicroBCSpec, spec: LatticeSpec):
 
     Returns (M, data_scale, labels).  Columns of M: stable coefficients,
     constant mode, generalized mode.  Rows: the microscale data rows,
-    then U, then dU/dx.  `data_scale` maps each datum to the right-hand
-    side entry of its row (a flux datum d enters as h*d), and `labels`
-    names the data.
+    then U, then the slope in cell units, h dU/dx.  `data_scale` maps each
+    datum to the right-hand side entry of its row (a flux datum d enters
+    as h*d), and `labels` names the data.
     """
     s, p, h = spec.s, spec.p, spec.h
     _check_args(cm, bc, s)
@@ -111,7 +114,7 @@ def assemble_constraints(cm: CellMap, bc: MicroBCSpec, spec: LatticeSpec):
     gamma_u = cm.first_cell_gen.mean() - (p - 1) / (2.0 * p)
     M[n_data, s - 1] = 1.0        # U row, constant column
     M[n_data, s] = gamma_u        # U row, generalized column
-    M[n_data + 1, s] = 1.0 / (p * h)  # slope row, generalized column
+    M[n_data + 1, s] = 1.0 / p    # slope row (h dU/dx), generalized column
     return M, scale, labels
 
 
@@ -122,7 +125,9 @@ def derive_macro_bc(cm: CellMap, bc: MicroBCSpec, spec: LatticeSpec) -> MacroBC:
     NULL_TOL * sigma_max count as zero).  Generic kinds give one null
     vector w and the Robin form with U coefficient 1; the flux kind has
     zero U weight and is reported as a Neumann condition.  The mixed kind
-    gives two null vectors, solved for the Cauchy pair.
+    gives two null vectors, solved for the Cauchy pair.  The slope row
+    holds h dU/dx, so a Robin d is h times its cell-unit value, and
+    Neumann and slope weights are their cell-unit values over h.
     """
     M, data_scale, labels = assemble_constraints(cm, bc, spec)
     n_data = len(data_scale)
@@ -139,7 +144,7 @@ def derive_macro_bc(cm: CellMap, bc: MicroBCSpec, spec: LatticeSpec) -> MacroBC:
         )
 
     if bc.kind == BCKind.MIXED:
-        # w^T rhs = 0 for both basis vectors: two equations in (U, dU/dx).
+        # w^T rhs = 0 for both basis vectors: two equations in (U, h dU/dx).
         G = null[n_data:, :].T            # (2, 2)
         Dw = (null[:n_data, :] * data_scale[:, None]).T  # (2, n_data)
         if np.linalg.cond(G) > 1e12:
@@ -152,7 +157,7 @@ def derive_macro_bc(cm: CellMap, bc: MicroBCSpec, spec: LatticeSpec) -> MacroBC:
             rhs_weights=None,
             rhs_labels=labels,
             value_weights=W[0],
-            slope_weights=W[1],
+            slope_weights=W[1] / spec.h,
         )
 
     w = null[:, 0]
@@ -164,7 +169,7 @@ def derive_macro_bc(cm: CellMap, bc: MicroBCSpec, spec: LatticeSpec) -> MacroBC:
         return MacroBC(
             kind=MacroBCKind.ROBIN,
             side=bc.side,
-            d=float(w_f / w_u),
+            d=float(spec.h * (w_f / w_u)),
             rhs_weights=-w_data / w_u,
             rhs_labels=labels,
         )
@@ -174,7 +179,7 @@ def derive_macro_bc(cm: CellMap, bc: MicroBCSpec, spec: LatticeSpec) -> MacroBC:
         kind=MacroBCKind.NEUMANN,
         side=bc.side,
         d=None,
-        rhs_weights=-w_data / w_f,
+        rhs_weights=-w_data / (w_f * spec.h),
         rhs_labels=labels,
     )
 

@@ -62,24 +62,29 @@ class SlowManifold:
 def construct_slow_manifold(spec: LatticeSpec) -> SlowManifold:
     """Iterate shape and evolution corrections until the residual is zero.
 
-    The residual must fall below RESIDUAL_TOL times the stiffness scale
+    The residual B(a g) - L(kappa) a, truncated at kappa^2, comes from one
+    order-shifted copy of the shape, X[j, d, e] = a_{e-d}[j] (0 for d > e):
+    B(a g) = B (g X) and L a = sum_d L_d X[:, d, :].  Its kappa^e column
+    scales like h^e, so max|res[:, e]| / h^e (`residual_norm` is the
+    maximum over e) must fall below RESIDUAL_TOL times the stiffness scale
     (||L_0||_F; for the single-mass cell, where L_0 = 0, the largest
-    Frobenius norm among the coefficient matrices of L_k), because the
-    exact-arithmetic analogue of this iteration terminates at an exact
-    zero and floating point needs a scale-aware substitute.
-    Raises NotConverged when MAX_SWEEPS sweeps do not get it there.
+    ||L_d||_F / h^d), because the exact-arithmetic analogue of this
+    iteration terminates at an exact zero and floating point needs a
+    scale-aware substitute.  Raises NotConverged when MAX_SWEEPS sweeps
+    do not get it there.
     """
     n = spec.n_cell
     Bdiag = spec.h ** 2 * spec.rho.reshape(-1)   # the diagonal of build_B
-    # L(k) = sum_d kappa^d L_d with kappa = ik and every L_d real, stacked
-    # as (3n, n) so that one product applies all three to the shape.
-    Lstack = np.moveaxis(build_Lk(spec), 2, 0).reshape(3 * n, n)
-    L0 = Lstack[:n]
+    Lk = build_Lk(spec)
+    orders = Lk.shape[2]   # the truncation: kappa^0 .. kappa^(orders-1)
+    L_row = Lk.reshape(n, orders * n)   # a view, L_row[i, orders*j + d] = L_d[i, j]
+    L0 = Lk[:, :, 0]
+    h_pow = spec.h ** np.arange(orders)   # the scale of each kappa order
     # ||L_0|| is the stiffness scale of the residual certificate; the
     # single-mass cell has L_0 = 0, so fall back to the coefficients.
     scale = np.linalg.norm(L0, "fro")
     if scale == 0.0:
-        scale = np.linalg.norm(Lstack.reshape(3, n, n), axis=(1, 2)).max()
+        scale = (np.linalg.norm(Lk, axis=(0, 1)) / h_pow).max()
 
     # Constrained solve: last equilibrium row replaced by the zero-mean
     # amplitude constraint.  L_0 alone is singular (constant kernel).
@@ -96,27 +101,20 @@ def construct_slow_manifold(spec: LatticeSpec) -> SlowManifold:
         )
 
     # a and g as real kappa-coefficients: a = 1 + kappa alpha - kappa^2 beta.
-    a = np.zeros((n, 3))
+    a = np.zeros((n, orders))
     a[:, 0] = 1.0
-    g = np.zeros(3)
+    g = np.zeros(orders)
     sum_b = Bdiag.sum()
+    X = np.zeros((n, orders, orders))
 
     def residual(a_, g_):
-        # res = B (a g) - L a, truncated at kappa^2, as an (n, 3) array.
-        ag = np.empty_like(a_)
-        ag[:, 0] = a_[:, 0] * g_[0]
-        ag[:, 1] = a_[:, 0] * g_[1] + a_[:, 1] * g_[0]
-        ag[:, 2] = (a_[:, 0] * g_[2] + a_[:, 2] * g_[0]) + a_[:, 1] * g_[1]
-        P = (Lstack @ a_).reshape(3, n, 3)   # P[d, :, e] = L_d a_e
-        la = np.empty_like(a_)
-        la[:, 0] = P[0, :, 0]
-        la[:, 1] = P[0, :, 1] + P[1, :, 0]
-        la[:, 2] = P[0, :, 2] + P[1, :, 1] + P[2, :, 0]
-        return Bdiag[:, None] * ag - la
+        for d in range(orders):
+            X[:, d, d:] = a_[:, :orders - d]
+        res = Bdiag[:, None] * (g_ @ X) - L_row @ X.reshape(orders * n, orders)
+        return res, float(np.max(np.abs(res) / h_pow))
 
     iterations = 0
-    res = residual(a, g)
-    res_norm = float(np.max(np.abs(res)))
+    res, res_norm = residual(a, g)
     while res_norm >= RESIDUAL_TOL * scale:
         if iterations >= MAX_SWEEPS:
             raise NotConverged(
@@ -131,8 +129,7 @@ def construct_slow_manifold(spec: LatticeSpec) -> SlowManifold:
         ahat[-1, :] = -ahat[:-1, :].sum(axis=0)
         a = a + ahat
         iterations += 1
-        res = residual(a, g)
-        res_norm = float(np.max(np.abs(res)))
+        res, res_norm = residual(a, g)
 
     c = float(g[2])
     if not c > 0:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -172,8 +173,11 @@ class MicroBCSpec:
 def validate_spec(spec: LatticeSpec) -> list:
     """Collect invariant violations; empty list means a valid spec.
 
-    Construction runs this on every spec, so the messages are built only
-    for what is broken.
+    Besides finite values, positive counts, spacing, elasticities and
+    densities, and the array shapes, every mass h^2 * rho must be a
+    normal positive float: an overflow or a subnormal there would reach
+    the solves as an inf or a rounding-level pivot.  Construction runs
+    this on every spec, so the messages are built only for what is broken.
     """
     v = [] if math.isfinite(spec.h) else ["non-finite h"]
     v += [f"non-finite {name}" for name in ("kappa_long", "kappa_cross", "rho")
@@ -213,6 +217,14 @@ def validate_spec(spec: LatticeSpec) -> list:
     ])
     if bad.any():
         v += [f"{column[k]} at column {m}" for m, k in np.argwhere(bad.T)]
+    # In Python floats, which overflow to inf and underflow without a warning.
+    rho_min = float(spec.rho.min())
+    if rho_min > 0.0:
+        hh = spec.h * spec.h
+        lo, hi = hh * rho_min, hh * float(spec.rho.max())
+        if not (sys.float_info.min <= lo and hi <= sys.float_info.max):
+            v.append(f"masses h^2*rho span [{lo:.3g}, {hi:.3g}], "
+                     "outside the normal positive floats")
     return v
 
 

@@ -135,14 +135,15 @@ def test_criterion_3_trichotomy():
 
 @pytest.mark.parametrize("s,p", [(2, 2), (3, 3), (5, 4), (6, 9)])
 def test_metamorphic_invariance(s, p):
-    # The same lattice described by a cell tiled r = 1..16 times, or with
-    # all stiffnesses or all densities scaled, must derive the same d and
+    # The same lattice described by a cell tiled r = 1..16 times, with
+    # all stiffnesses or all densities scaled, or with its spacing scaled
+    # (d in units of h, compared as d h0 / h), must derive the same d and
     # data weights at both ends.
     base = random_spec(np.random.default_rng(100 * s + p), s, p, 0.1, 10.0, N=2 * p)
     zeros = MicroBCSpec.dirichlet_zero(s)
 
     def ends(spec):
-        return [(mb.d, mb.rhs_weights)
+        return [(mb.d * base.h / spec.h, mb.rhs_weights)
                 for mb in (left_end_bc(spec, zeros), right_end_bc(spec, zeros))]
 
     variants = [
@@ -157,6 +158,7 @@ def test_metamorphic_invariance(s, p):
     variants.append(dataclasses.replace(
         base, kappa_long=3.7 * base.kappa_long, kappa_cross=3.7 * base.kappa_cross))
     variants.append(dataclasses.replace(base, rho=0.29 * base.rho))
+    variants += [dataclasses.replace(base, h=f * base.h) for f in (1e-9, 1e-6, 1e3)]
     ref = ends(base)
     worst = 0.0
     for spec in variants:

@@ -291,6 +291,28 @@ class TestMainEntry:
         assert rc == 1
         assert capsys.readouterr().err == "error: ValidationError: non-finite kappa_long\n"
 
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    @pytest.mark.parametrize("h,rho01", [
+        (1e160, None), (1.3e154, None), (2.0, 1e308), (None, 1e-310),
+    ], ids=["h-squared-overflows", "mass-overflows", "rho-overflows", "rho-subnormal"])
+    def test_mass_outside_float_range_rejected(self, tmp_path, capsys, command, h, rho01):
+        # Each mass h^2 rho must be a normal positive float.  Unchecked,
+        # these inputs end in an OverflowError (h^2), a ValueError (an
+        # infinite mass) or a LinAlgError (a subnormal mass) traceback.
+        raw = preset_config("demo-2x2")
+        if h is not None:
+            raw["h"] = h
+        if rho01 is not None:
+            raw["rho"][0][1] = rho01
+        path = tmp_path / "mass.json"
+        path.write_text(json.dumps(raw))
+        rc = main([command, "--config", str(path), "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: ValidationError: masses h^2*rho span")
+        assert not (tmp_path / "report.json").exists()
+
     @pytest.mark.parametrize("side,kind,values", [
         ("left", "dirichlet", [0.0]),
         ("left", "flux", [0.0, 0.0, 0.0]),

@@ -131,16 +131,43 @@ class TestCertificates:
 
     def test_shape_scaling_with_spacing(self):
         # alpha scales like h and beta like h^2 for fixed stiffness
-        # arrays; c is independent of h
+        # arrays; c is independent of h, down to spacings where the
+        # kappa^2 column of the residual is far below the kappa^0 one
         rng = np.random.default_rng(24)
         base = random_spec(rng, 2, 3, h=1.0)
         sm1 = construct_slow_manifold(base)
-        for h in (0.5, 2.0):
+        for h in (1e-9, 1e-6, 0.5, 2.0, 1e3):
             spec = dataclasses.replace(base, h=h)
             sm = construct_slow_manifold(spec)
-            assert np.allclose(sm.alpha, h * sm1.alpha, atol=1e-10 * max(1, np.abs(sm1.alpha).max()))
-            assert np.allclose(sm.beta, h * h * sm1.beta, atol=1e-10 * max(1, np.abs(sm1.beta).max()))
+            assert sm.iterations == sm1.iterations
+            assert np.allclose(sm.alpha / h, sm1.alpha, rtol=0,
+                               atol=1e-10 * max(1, np.abs(sm1.alpha).max()))
+            assert np.allclose(sm.beta / (h * h), sm1.beta, rtol=0,
+                               atol=1e-10 * max(1, np.abs(sm1.beta).max()))
             assert sm.c == pytest.approx(sm1.c, rel=1e-11)
+
+    def test_residual_norm_is_the_returned_residual(self):
+        # The certificate is the residual of the returned (a, g): in
+        # k-coefficients, L(k) = sum_d k^d i^d L_d, one product per pair of
+        # orders, and the k^e column on its scale h^e.  Spacings over six
+        # decades make an unscaled maximum differ from it.
+        rng = np.random.default_rng(26)
+        for s in range(1, 7):
+            for p in range(1, 10):
+                spec = random_spec(rng, s, p, h=float(10 ** rng.uniform(-3, 3)))
+                sm = construct_slow_manifold(spec)
+                Lk, Bd = build_Lk(spec), np.diag(build_B(spec))
+                res = np.zeros((spec.n_cell, 3), dtype=complex)
+                for e in range(3):
+                    for d in range(e + 1):
+                        res[:, e] += (Bd * sm.g[d] * sm.a[:, e - d]
+                                      - 1j ** d * Lk[:, :, d] @ sm.a[:, e - d])
+                norm = max(np.abs(res[:, e]).max() / spec.h ** e for e in range(3))
+                scale = np.linalg.norm(Lk[:, :, 0], "fro")
+                if scale == 0.0:   # the single-mass cell
+                    scale = max(np.linalg.norm(Lk[:, :, d], "fro") / spec.h ** d
+                                for d in range(3))
+                assert abs(norm - sm.residual_norm) <= 8 * np.finfo(float).eps * scale
 
     def test_velocity_shape_bookkeeping_closes(self):
         # The residual certificate uses only (a, g); if the velocity
