@@ -35,17 +35,15 @@ from .lattice import (
     BCKind,
     LatticeSpec,
     MicroBCSpec,
-    build_B,
     build_L0,
     build_Lk,
     build_Lk_exact,
     build_steady_operator,
+    mass_scaled,
     reversed_spec,
-    validate_spec,
 )
 from .validate import (
     ModeComparison,
-    SpectrumReport,
     compare_modes,
     macroscale_slowest_mode,
     microscale_slowest_mode,

@@ -33,7 +33,7 @@ content.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -121,6 +121,10 @@ def assemble_constraints(cm: CellMap, bc: MicroBCSpec, spec: LatticeSpec):
 def derive_macro_bc(cm: CellMap, bc: MicroBCSpec, spec: LatticeSpec) -> MacroBC:
     """Solvability condition of the constraint system, normalized.
 
+    spec and its cell map cm are the lattice seen from bc.side (for a
+    right end, `reversed_spec` of the domain's lattice), and the result is
+    in the original x: a right end gets `_mirror`'s sign flip.
+
     The left null space of M comes from the SVD (singular values below
     NULL_TOL * sigma_max count as zero).  Generic kinds give one null
     vector w and the Robin form with U coefficient 1; the flux kind has
@@ -166,22 +170,12 @@ def derive_macro_bc(cm: CellMap, bc: MicroBCSpec, spec: LatticeSpec) -> MacroBC:
     w_f = w[n_data + 1]
     wnorm = np.linalg.norm(w)
     if abs(w_u) >= NULL_TOL * wnorm:
-        return MacroBC(
-            kind=MacroBCKind.ROBIN,
-            side=bc.side,
-            d=float(spec.h * (w_f / w_u)),
-            rhs_weights=-w_data / w_u,
-            rhs_labels=labels,
-        )
-    if abs(w_f) < NULL_TOL * wnorm:
+        mb = MacroBC(MacroBCKind.ROBIN, "left", float(spec.h * (w_f / w_u)), -w_data / w_u, labels)
+    elif abs(w_f) >= NULL_TOL * wnorm:
+        mb = MacroBC(MacroBCKind.NEUMANN, "left", None, -w_data / (w_f * spec.h), labels)
+    else:
         raise NullSpaceDimension("null vector has neither U nor dU/dx weight")
-    return MacroBC(
-        kind=MacroBCKind.NEUMANN,
-        side=bc.side,
-        d=None,
-        rhs_weights=-w_data / (w_f * spec.h),
-        rhs_labels=labels,
-    )
+    return _mirror(mb) if bc.side == "right" else mb
 
 
 def closed_form_bc(cm: CellMap, bc: MicroBCSpec, spec: LatticeSpec) -> MacroBC:
@@ -191,10 +185,9 @@ def closed_form_bc(cm: CellMap, bc: MicroBCSpec, spec: LatticeSpec) -> MacroBC:
     eigenvectors the numeric path uses; serves as its cross-oracle.
     Fails by zero division when the stable eigenvector has equal first
     components (strand-symmetric lattices); the SVD route is the
-    authoritative one there.  For a right-end bc, pass the reversed
-    lattice (`reversed_spec`) and its cell map: the result gets
-    right_end_bc's chain-rule sign flip.  The arguments are checked as
-    in `assemble_constraints`.
+    authoritative one there.  The arguments are read and checked as in
+    `derive_macro_bc`: (cm, spec) is the lattice seen from bc.side, and
+    the result is in the original x.
     """
     if spec.s != 2 or spec.p != 2:
         raise KindUnsupported(
@@ -279,17 +272,18 @@ def left_end_bc(spec: LatticeSpec, bc: MicroBCSpec) -> MacroBC:
 
 
 def right_end_bc(spec: LatticeSpec, bc: MicroBCSpec) -> MacroBC:
-    """Right-end condition via lattice reversal and the chain-rule sign flip.
+    """Right-end condition: `derive_macro_bc` on the reversed lattice.
 
-    The left-end pipeline runs on the reversed lattice (n' = N - n); in
-    the reversed coordinate d/dx' = -d/dx, so the derivative coefficient
-    changes sign when transforming back.  Boundary data conventions are
-    mirror images of the left-end ones (differences point into the
-    domain), so values pass through unchanged.  When N % p == 0 the
-    reversed lattice is the whole cell read backwards, and its cell map
-    comes from the memo that a left-end build of spec leaves behind.
+    The derivation runs on the lattice seen from the right end
+    (n' = N - n) with bc's values as a right-end datum, whatever bc's
+    side.  Boundary data conventions are mirror images of the left-end
+    ones (differences point into the domain), so values pass through
+    unchanged.  When N % p == 0 the reversed lattice is the whole cell
+    read backwards, and its cell map comes from the memo that a left-end
+    build of spec leaves behind.
     """
-    return _mirror(left_end_bc(reversed_spec(spec), MicroBCSpec(bc.kind, bc.values, "right")))
+    rspec = reversed_spec(spec)
+    return derive_macro_bc(build_cell_map(rspec), MicroBCSpec(bc.kind, bc.values, "right"), rspec)
 
 
 def _mirror(mb: MacroBC) -> MacroBC:
@@ -298,8 +292,7 @@ def _mirror(mb: MacroBC) -> MacroBC:
     d/dx' = -d/dx: a Robin d and Neumann weights change sign.
     """
     if mb.kind == MacroBCKind.ROBIN:
-        mb.d = -mb.d
-    elif mb.kind == MacroBCKind.NEUMANN:
-        mb.rhs_weights = -mb.rhs_weights
-    mb.side = "right"
-    return mb
+        return replace(mb, side="right", d=-mb.d)
+    if mb.kind == MacroBCKind.NEUMANN:
+        return replace(mb, side="right", rhs_weights=-mb.rhs_weights)
+    return replace(mb, side="right")

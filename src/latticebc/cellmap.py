@@ -176,8 +176,9 @@ def build_cell_map(spec: LatticeSpec) -> CellMap:
     np.divide(alphar + 1j * alphai, beta, out=mu, where=beta != 0.0)
     order = np.argsort(np.abs(mu), kind="stable")
     mu, Z = mu[order], Z[:, order]
-    others = np.delete(mu, [s - 1, s])
-    if abs(mu[s - 1: s + 1].mean() - 1.0) > CENTER_TOL or np.any(
+    centre, others = mu[s - 1: s + 1], np.delete(mu, [s - 1, s])
+    # an infinite value there is an infinite eigenvalue, not a unit one
+    if not np.isfinite(centre).all() or abs(centre.mean() - 1.0) > CENTER_TOL or np.any(
         np.abs(others - 1.0) <= CENTER_TOL
     ):
         raise UnexpectedSpectrum(
@@ -203,7 +204,9 @@ def build_cell_map(spec: LatticeSpec) -> CellMap:
     # below any absolute imaginary-part floor and still be genuinely
     # complex), on the values above _REAL_FLOOR only.
     judged = stable[np.abs(stable) > _REAL_FLOOR]
-    eigenvalues = np.concatenate([stable, mu[s - 1: s + 1], 1.0 / stable[::-1]])
+    growing = np.full(s - 1, np.inf, dtype=complex)   # the partner of an underflowed 0
+    np.divide(1.0, stable[::-1], out=growing, where=stable[::-1] != 0.0)
+    eigenvalues = np.concatenate([stable, centre, growing])
     all_real = bool(np.all(np.abs(judged.imag) <= _IMAG_TOL * np.abs(judged))
                     and np.all(judged.real > 0.0))
 

@@ -16,10 +16,11 @@ Parameters
                        column m (symmetric, zero diagonal),
 ``rho[m][j]``          density of mass (m, j).
 
-The operators built here: the diagonal mass matrix B = h^2 diag(rho),
-the Fourier-space stiffness L_k (truncated, as real coefficients of
-powers of ik, and exact for the dispersion oracle), its k=0 limit L_0,
-and the banded stiffness of the clamped quasi-steady interior.
+The operators built here: the Fourier-space stiffness L_k (truncated, as
+real coefficients of powers of ik, and exact for the dispersion oracle),
+its k=0 limit L_0, and the banded stiffness of the clamped quasi-steady
+interior.  The cell's masses B = h^2 diag(rho) enter the dense
+eigenproblems through `mass_scaled`, which poses each as a standard one.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ class LatticeSpec:
     p and N are integers, h a real number and the arrays hold real
     numbers only, OverflowError naming the field when h or an array entry
     is an integer too large for a float, and SpecValidationError carrying
-    `validate_spec`'s messages when that list is not empty.
+    `_validate_spec`'s messages when that list is not empty.
     """
 
     s: int
@@ -88,7 +89,7 @@ class LatticeSpec:
             if value is None:
                 raise TypeError(f"{name} must hold real numbers only")
             object.__setattr__(self, name, value)
-        violations = validate_spec(self)
+        violations = _validate_spec(self)
         if violations:
             raise SpecValidationError(violations)
 
@@ -170,14 +171,18 @@ class MicroBCSpec:
         return MicroBCSpec(BCKind.DIRICHLET, np.zeros(s), side)
 
 
-def validate_spec(spec: LatticeSpec) -> list:
+def _validate_spec(spec: LatticeSpec) -> list:
     """Collect invariant violations; empty list means a valid spec.
 
     Besides finite values, positive counts, spacing, elasticities and
-    densities, and the array shapes, every mass h^2 * rho must be a
-    normal positive float: an overflow or a subnormal there would reach
-    the solves as an inf or a rounding-level pivot.  Construction runs
-    this on every spec, so the messages are built only for what is broken.
+    densities, and the array shapes, two range rules keep overflows and
+    subnormals, which would reach the solves as an inf or a
+    rounding-level pivot, out of every stage.  Every mass h^2 * rho must
+    be a normal positive float.  Every nonzero elasticity must be a
+    normal float, and the stiffness norms that the stages square must
+    stay finite: ||L_0||_F and that of the mass-scaled stiffness
+    B^-1/2 L_0 B^-1/2.  Construction runs this on every spec, so the
+    messages are built only for what is broken.
     """
     v = [] if math.isfinite(spec.h) else ["non-finite h"]
     v += [f"non-finite {name}" for name in ("kappa_long", "kappa_cross", "rho")
@@ -225,6 +230,18 @@ def validate_spec(spec: LatticeSpec) -> list:
         if not (sys.float_info.min <= lo and hi <= sys.float_info.max):
             v.append(f"masses h^2*rho span [{lo:.3g}, {hi:.3g}], "
                      "outside the normal positive floats")
+    if v:
+        return v
+    springs = np.concatenate([spec.kappa_long.ravel(), kc[kc > 0.0]])
+    k_lo, k_hi = float(springs.min()), float(springs.max())
+    # A mass's total elasticity t <= (s + 1) k_hi is its diagonal entry
+    # of -L_0 and bounds the absolute sum of the rest of its row, so
+    # ||L_0||_F^2 <= 2n t^2; over the smallest mass, t bounds the rows of
+    # the mass-scaled stiffness the same way.
+    row = (s + 1) * k_hi / min(1.0, lo)
+    if not (sys.float_info.min <= k_lo and 2 * s * p * row * row <= sys.float_info.max):
+        v.append(f"nonzero elasticities span [{k_lo:.3g}, {k_hi:.3g}] with masses from "
+                 f"{lo:.3g}: outside the normal floats, or the stiffness overflows squared")
     return v
 
 
@@ -246,9 +263,16 @@ def column_blocks(spec: LatticeSpec, n: np.ndarray):
     return left, onsite, right
 
 
-def build_B(spec: LatticeSpec) -> np.ndarray:
-    """Diagonal mass matrix h^2 * diag(rho) in flat cell ordering."""
-    return np.diag(spec.h ** 2 * spec.rho.reshape(-1))
+def mass_scaled(spec: LatticeSpec, A: np.ndarray) -> np.ndarray:
+    """B^-1/2 A B^-1/2 for the cell masses B = h^2 diag(rho), flat order.
+
+    A pencil (A, B) with B diagonal and positive has the eigenvalues of
+    this standard matrix, and its eigenvectors are B^-1/2 times this
+    one's (Parlett, The Symmetric Eigenvalue Problem, ch. 15).  Every
+    dense cell eigenproblem is posed through it.
+    """
+    root = spec.h * np.sqrt(spec.rho.reshape(-1))   # B^1/2
+    return A / np.outer(root, root)
 
 
 def _periodic_operator(spec: LatticeSpec, epos, eneg, dtype) -> np.ndarray:

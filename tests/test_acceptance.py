@@ -348,11 +348,11 @@ def test_criterion_8_spectrum_suite():
         L0 = build_L0(spec)
         scale = max(1.0, np.linalg.norm(L0, "fro"))
         rep = spectrum_checks(spec)
-        assert rep.symmetry_defect < 1e-12
-        assert rep.max_row_sum < 1e-12
-        assert rep.min_eigenvalue >= -1e-10 * scale
-        assert rep.zero_multiplicity == 1
-        assert rep.spectral_gap > 0.0
+        assert rep["symmetry_defect"] < 1e-12
+        assert rep["max_row_sum"] < 1e-12
+        assert rep["min_eigenvalue"] >= -1e-10 * scale
+        assert rep["zero_multiplicity"] == 1
+        assert rep["spectral_gap"] > 0.0
     elapsed = time.perf_counter() - t0
     print(f"criterion 8: PASS spectrum suite, 100 specs, {elapsed:.1f}s")
 

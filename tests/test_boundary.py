@@ -20,7 +20,7 @@ from latticebc import (
     right_end_bc,
 )
 
-from latticebc import boundary
+from latticebc import boundary, cellmap
 
 from conftest import make_spec, random_spec
 
@@ -384,6 +384,51 @@ class TestRightEnd:
         if got.d is not None:
             assert abs(cf.d - got.d) <= 1e-12 * max(1.0, abs(got.d))
         np.testing.assert_allclose(cf.rhs_weights, got.rhs_weights, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", [BCKind.DIRICHLET, BCKind.FLUX, BCKind.ROBIN_LIKE])
+    def test_end_contract(self, demo2x2_spec, kind):
+        # Both derivations read (cm, spec) as the lattice seen from
+        # bc.side and answer in the original x, so on the reversed lattice
+        # derive_macro_bc is right_end_bc, and closed_form_bc agrees.  Both
+        # cell maps are cold builds: a p = 1 cell is its own reversal, and
+        # the memo would serve the second from the first's QZ.
+        rng = np.random.default_rng(52)
+        specs = [demo2x2_spec] + [
+            random_spec(rng, int(rng.integers(2, 5)), int(rng.integers(1, 5)),
+                        N=int(rng.integers(12, 24))) for _ in range(12)]
+        for spec in specs:
+            bc = MicroBCSpec(kind, micro_values(rng, kind, spec.s), side="right")
+            rs = reversed_spec(spec)
+            cellmap._reset_memo()
+            cm = build_cell_map(rs)
+            cellmap._reset_memo()
+            want = right_end_bc(spec, bc)
+            got = derive_macro_bc(cm, bc, rs)
+            assert (got.kind, got.side, got.d, got.rhs_labels) == (
+                want.kind, "right", want.d, want.rhs_labels)
+            assert np.array_equal(got.rhs_weights, want.rhs_weights)
+            if spec.s == spec.p == 2:
+                cf = closed_form_bc(cm, bc, rs)
+                assert (cf.kind, cf.side) == (want.kind, "right")
+                if want.d is not None:
+                    assert abs(cf.d - want.d) <= 1e-12 * max(1.0, abs(want.d))
+                np.testing.assert_allclose(cf.rhs_weights, want.rhs_weights,
+                                           rtol=1e-12, atol=1e-12)
+
+    def test_right_dirichlet_sign_on_demo(self, demo2x2_spec):
+        # the reversed-lattice derivation used to report +0.042426 h,
+        # unmirrored, under a "right" label
+        rs = reversed_spec(demo2x2_spec)
+        mb = derive_macro_bc(build_cell_map(rs), MicroBCSpec.dirichlet_zero(2, "right"), rs)
+        assert mb.d == pytest.approx(-0.0424256399329512 * demo2x2_spec.h, rel=1e-12)
+
+    def test_mirror_returns_a_new_condition(self, demo2x2_spec):
+        left = left_end_bc(demo2x2_spec, MicroBCSpec(BCKind.FLUX, np.array([0.4, -0.3])))
+        weights = left.rhs_weights.copy()
+        right = boundary._mirror(left)
+        assert (left.side, right.side) == ("left", "right")
+        assert np.array_equal(left.rhs_weights, weights)
+        assert np.array_equal(right.rhs_weights, -weights)
 
     def test_flux_sign_flip(self):
         # a symmetric lattice with mirrored flux data must give mirrored

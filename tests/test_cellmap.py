@@ -268,6 +268,22 @@ class TestLapackPath:
         assert np.all(np.abs(cm.stable_values) < 1.0)
         assert np.all(np.isfinite(cm.stable_vectors))
 
+    def test_underflowed_decaying_value_has_infinite_partner(self, demo2x2_spec):
+        # kappa_long[0][0] = 1e-200 underflows the decaying value to 0:
+        # its growing partner is inf, not the inf+nanj of 1/0, and no
+        # division warning is emitted.
+        kl = demo2x2_spec.kappa_long.copy()
+        kl[0, 0] = 1e-200
+        cm = build_cell_map(dataclasses.replace(demo2x2_spec, kappa_long=kl))
+        assert cm.stable_values[0] == 0.0
+        assert cm.eigenvalues[-1] == np.inf and not np.isnan(cm.eigenvalues).any()
+
+    def test_infinite_centre_value_is_unexpected(self, demo2x2_spec):
+        # kappa_cross[1][0][1] = 1e100 puts [1.5e-85, inf] at the centre
+        # positions: no unit pair, and no warning from averaging an inf.
+        with pytest.raises(UnexpectedSpectrum, match="doubled eigenvalue at 1"):
+            build_cell_map(with_entry(demo2x2_spec, "kappa_cross", 1e100))
+
     @pytest.mark.parametrize("field", ["kappa_long", "kappa_cross"])
     @pytest.mark.parametrize("value", [np.inf, np.nan])
     def test_nonfinite_elasticity_raises(self, demo2x2_spec, field, value):

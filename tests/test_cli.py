@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -312,6 +313,43 @@ class TestMainEntry:
         assert err.count("\n") == 1
         assert err.startswith("error: ValidationError: masses h^2*rho span")
         assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [1e-310, 1e-300, 1e-200, 1e50, 1e100, 1e150, 1e160,
+                                       1e200, 1e308])
+    @pytest.mark.parametrize("field", ["kappa_long", "kappa_cross"])
+    def test_elasticity_ladder(self, tmp_path, capsys, field, value):
+        # demo-2x2's kappa_long[0][0], or kappa_cross[1][0][1] set
+        # symmetrically, across the float range: every subcommand exits 0
+        # or prints one typed error line, never a raw warning.  Unchecked,
+        # 1e160 and up ended in overflow RuntimeWarnings, and a subnormal
+        # in division warnings.
+        raw = preset_config("demo-2x2")
+        if field == "kappa_long":
+            raw["kappa_long"][0][0] = value
+        else:
+            raw["kappa_cross"][1][0][1] = raw["kappa_cross"][1][1][0] = value
+        path = tmp_path / "kappa.json"
+        path.write_text(json.dumps(raw))
+        errors = {}
+        for command in COMMANDS:
+            rc = main([command, "--config", str(path), "--out", str(tmp_path / command)])
+            err = capsys.readouterr().err
+            assert (rc, err == "") in ((0, True), (1, False))
+            if rc:
+                assert err.count("\n") == 1 and re.match(r"error: [A-Za-z]+: \S", err)
+                errors[command] = err.split(":")[1].strip()
+        if value >= 1e160 or value < sys.float_info.min:
+            assert errors == dict.fromkeys(COMMANDS, "ValidationError")
+        if (field, value) == ("kappa_long", 1e-200):
+            # a decaying value underflows to 0; its growing partner is inf
+            assert errors == {}
+            report = json.loads((tmp_path / "derive-bc" / "report.json").read_text())
+            assert report["left"]["d_over_h"] == pytest.approx(
+                report["closed_form_left"]["d_over_h"], rel=1e-12)
+        if (field, value) == ("kappa_cross", 1e100):
+            # an infinite value among the centre pair
+            assert errors["derive-bc"] == "UnexpectedSpectrum"
 
     @pytest.mark.parametrize("side,kind,values", [
         ("left", "dirichlet", [0.0]),

@@ -8,7 +8,6 @@ from latticebc import (
     KindUnsupported,
     SingularSolve,
     SpecValidationError,
-    build_B,
     build_L0,
     build_Lk,
     build_Lk_exact,
@@ -104,8 +103,8 @@ class TestDispersion:
 
     def test_long_cell_resolved(self):
         # A (10, 64) cell of the long-cell ladder, contrast 0.5-2: lambda_0
-        # at k ~ 1e-3/(p h) lies near the generalized solver's resolution,
-        # and a plain mean of lambda_0/k^2 misses c by 4.3e-5.
+        # at k ~ 1e-3/(p h) lies near the dense solver's resolution,
+        # and a plain mean of lambda_0/k^2 misses c by 3.5e-5.
         spec = random_spec(np.random.default_rng(0), 10, 64, lo=0.5, hi=2.0, N=640)
         sm = construct_slow_manifold(spec)
         assert dispersion_fit(spec) == pytest.approx(sm.c, rel=1e-6)
@@ -156,7 +155,7 @@ class TestCertificates:
             for p in range(1, 10):
                 spec = random_spec(rng, s, p, h=float(10 ** rng.uniform(-3, 3)))
                 sm = construct_slow_manifold(spec)
-                Lk, Bd = build_Lk(spec), np.diag(build_B(spec))
+                Lk, Bd = build_Lk(spec), spec.h ** 2 * spec.rho.reshape(-1)
                 res = np.zeros((spec.n_cell, 3), dtype=complex)
                 for e in range(3):
                     for d in range(e + 1):
@@ -178,7 +177,7 @@ class TestCertificates:
         rng = np.random.default_rng(25)
         spec = random_spec(rng, 2, 3)
         sm = construct_slow_manifold(spec)
-        Bd = np.diag(build_B(spec))
+        Bd = spec.h ** 2 * spec.rho.reshape(-1)
 
         def r(k):
             a = (sm.a[:, 2] * k + sm.a[:, 1]) * k + sm.a[:, 0]
@@ -198,7 +197,7 @@ def complex_iteration(spec, tol=1e-12, max_iter=12):
     real and imaginary parts solved together.  Returns (a, g, iterations).
     """
     n = spec.n_cell
-    Bdiag = np.diag(build_B(spec))
+    Bdiag = spec.h ** 2 * spec.rho.reshape(-1)
     Lk = build_Lk(spec)
     Lc = [(1j ** d * Lk[:, :, d]).copy() for d in range(3)]
     L0 = Lc[0].real

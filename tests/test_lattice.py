@@ -1,4 +1,8 @@
 import dataclasses
+import importlib.util
+import itertools
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,16 +14,18 @@ from latticebc import (
     LatticeSpec,
     MicroBCSpec,
     SpecValidationError,
-    build_B,
     build_L0,
     build_Lk,
     build_Lk_exact,
     build_steady_operator,
+    mass_scaled,
     reversed_spec,
-    validate_spec,
 )
+from latticebc import cli
+from latticebc.lattice import _validate_spec
 
-from conftest import _loop_kappa_plus, _loop_steady, band_dense, lower_band, make_spec, random_spec
+from conftest import (_loop_kappa_plus, _loop_steady, band_dense, lower_band, make_spec,
+                      random_spec, with_entry)
 
 
 def spec_strategy(max_s=3, max_p=4):
@@ -40,13 +46,13 @@ def violations(make, *args, **kwargs):
         spec = make(*args, **kwargs)
     except SpecValidationError as exc:
         return exc.violations
-    assert validate_spec(spec) == []
+    assert _validate_spec(spec) == []
     return []
 
 
 class TestValidateSpec:
     def test_valid_uniform(self, uniform_spec):
-        assert validate_spec(uniform_spec) == []
+        assert _validate_spec(uniform_spec) == []
 
     def test_zero_longitudinal_elasticity(self):
         v = violations(make_spec, 1, 1, [[0.0]], np.zeros((1, 1, 1)), [[1.0]])
@@ -95,7 +101,7 @@ class TestValidateSpec:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_entry_loops(self, seed):
-        # the per-entry loops validate_spec replaced, as the reference;
+        # the per-entry loops _validate_spec replaced, as the reference;
         # construction succeeds exactly when they find nothing
         rng = np.random.default_rng(seed)
         for _ in range(40):
@@ -121,6 +127,45 @@ class TestValidateSpec:
             assert violations(LatticeSpec, s=int(s), p=int(p), h=1.0, N=8,
                               kappa_long=kl, kappa_cross=kc, rho=rho) == want
 
+    @pytest.mark.parametrize("field,value", [
+        ("kappa_long", 1e-310), ("kappa_cross", 5e-324), ("kappa_long", 1e160),
+        ("kappa_cross", 1e160), ("kappa_long", 1e308),
+    ])
+    def test_elasticity_outside_range(self, demo2x2_spec, field, value):
+        # a subnormal elasticity, or a stiffness that overflows squared
+        v = violations(with_entry, demo2x2_spec, field, value)
+        assert len(v) == 1 and v[0].startswith("nonzero elasticities span")
+
+    def test_range_census_constructs(self, monkeypatch):
+        # The range rules reject no lattice of contrast 10^(2D), D <= 4, at
+        # spacings from 1e-12 to 1e6, and no benchmark input.
+        rng = np.random.default_rng(60)
+        draws = [(D, int(rng.integers(1, 7)), int(rng.integers(1, 17)))
+                 for D in range(1, 5) for _ in range(50)]
+        for D, s, p in draws + [(4, 20, 64)] * 4:
+            kc = np.zeros((p, s, s))
+            iu = np.triu_indices(s, 1)
+            kc[:, iu[0], iu[1]] = 10 ** rng.uniform(-D, D, (p, iu[0].size))
+            for h in (1e-12, float(10 ** rng.uniform(-12, 6)), 1e6):
+                LatticeSpec(s=s, p=p, h=h, N=2 * p,
+                            kappa_long=10 ** rng.uniform(-D, D, (p, s)),
+                            kappa_cross=kc + kc.transpose(0, 2, 1),
+                            rho=10 ** rng.uniform(-D, D, (p, s)))
+        # and the extreme corners at the largest cell of the long-cell ladder
+        for kappa, rho, h in itertools.product((1e-4, 1e4), (1e-4, 1e4), (1e-12, 1e6)):
+            make_spec(20, 64, np.full((64, 20), kappa),
+                      np.full((64, 20, 20), kappa) * (1 - np.eye(20)), np.full((64, 20), rho), h=h)
+        path = Path(__file__).parents[1] / "bench" / "workloads.py"
+        module_spec = importlib.util.spec_from_file_location("bench_workloads", path)
+        workloads = importlib.util.module_from_spec(module_spec)
+        monkeypatch.setitem(sys.modules, module_spec.name, workloads)   # for its dataclasses
+        module_spec.loader.exec_module(workloads)
+        for workload in workloads.WORKLOADS.values():
+            for seed in (1, 2, 3):
+                workload.make_inputs(seed)   # builds every input spec
+        for preset, h in (("demo-2x2", None), ("demo-5x10", cli.DEMO5_CANDIDATE_H)):
+            cli.config_from_dict(cli.preset_config(preset, h=h))
+
 
 class TestFieldTypes:
     @pytest.mark.parametrize("field,value", [
@@ -141,15 +186,32 @@ class TestFieldTypes:
 
 
 class TestMassMatrix:
+    # mass_scaled(spec, A) = B^-1/2 A B^-1/2 with B = h^2 diag(rho) in flat order
     def test_uniform(self, uniform_spec):
-        assert np.array_equal(build_B(uniform_spec), [[1.0]])
+        assert np.array_equal(mass_scaled(uniform_spec, np.ones((1, 1))), [[1.0]])
 
     def test_scaling(self):
         spec = make_spec(1, 1, [[1.0]], np.zeros((1, 1, 1)), [[2.0]], h=0.5)
-        assert np.allclose(build_B(spec), [[0.5]])
+        assert np.allclose(mass_scaled(spec, np.ones((1, 1))), [[2.0]])
 
     def test_demo_densities(self, demo2x2_spec):
-        assert np.allclose(np.diag(build_B(demo2x2_spec)), [1.0, 2.0, 4.0, 0.5])
+        # flat = m*s + j: rho[0][0], rho[0][1], rho[1][0], rho[1][1]
+        mass = np.array([1.0, 2.0, 4.0, 0.5])
+        got = mass_scaled(demo2x2_spec, np.ones((4, 4)))
+        np.testing.assert_allclose(got, 1.0 / np.sqrt(np.outer(mass, mass)), rtol=1e-15)
+
+    @given(spec_strategy())
+    @settings(max_examples=20, deadline=None)
+    def test_pencil_eigenpairs(self, spec):
+        # the standard form has the pencil's eigenvalues, and B^-1/2 y is
+        # the pencil's eigenvector for its eigenvector y
+        B = np.diag(spec.h ** 2 * spec.rho.reshape(-1))
+        A = -build_Lk_exact(spec, 0.3 / (spec.p * spec.h))
+        lam, y = scipy.linalg.eigh(mass_scaled(spec, A))
+        np.testing.assert_allclose(lam, scipy.linalg.eigh(A, B, eigvals_only=True),
+                                   rtol=0, atol=1e-12 * np.abs(lam).max())
+        x = y / np.sqrt(np.diag(B))[:, None]
+        assert np.abs(A @ x - B @ x * lam).max() <= 1e-12 * np.abs(A).max() * np.abs(x).max()
 
 
 class TestL0:
@@ -242,7 +304,7 @@ class TestZeroMode:
     @given(spec_strategy())
     @settings(max_examples=20, deadline=None)
     def test_zero_eigenvalue_simple_for_connected(self, spec):
-        lam = scipy.linalg.eigh(-build_L0(spec), build_B(spec), eigvals_only=True)
+        lam = scipy.linalg.eigh(mass_scaled(spec, -build_L0(spec)), eigvals_only=True)
         tol = 1e-10 * max(1.0, lam[-1])
         assert np.sum(np.abs(lam) <= tol) == 1
 

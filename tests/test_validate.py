@@ -509,23 +509,23 @@ class TestCompare:
 class TestSpectrumChecks:
     def test_uniform(self, uniform_spec):
         rep = spectrum_checks(uniform_spec)
-        assert rep.zero_multiplicity == 1
-        assert rep.spectral_gap >= 0.0
+        assert rep["zero_multiplicity"] == 1
+        assert rep["spectral_gap"] >= 0.0
 
     def test_demo_passes(self, demo2x2_spec):
         rep = spectrum_checks(demo2x2_spec)
-        assert rep.passed()
-        assert rep.min_rayleigh >= 0.0
+        assert rep["passed"]
+        assert rep["min_rayleigh"] >= 0.0
 
     def test_disconnected_reports_double_zero(self):
         spec = make_spec(2, 2, np.ones((2, 2)), [0.0, 0.0], np.ones((2, 2)))
         rep = spectrum_checks(spec)
-        assert rep.zero_multiplicity == 2
+        assert rep["zero_multiplicity"] == 2
 
     def test_random_connected(self):
         rng = np.random.default_rng(41)
         for _ in range(15):
             spec = random_spec(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)))
             rep = spectrum_checks(spec)
-            assert rep.zero_multiplicity == 1
-            assert rep.spectral_gap > 0.0
+            assert rep["zero_multiplicity"] == 1
+            assert rep["spectral_gap"] > 0.0
