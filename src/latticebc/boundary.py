@@ -71,14 +71,6 @@ class MacroBC:
     slope_weights: np.ndarray | None = None
 
 
-def _check_value_shape(bc: MicroBCSpec, s: int) -> None:
-    shape = bc.value_shape(s)
-    if bc.values.shape != shape:
-        raise SpecValidationError(
-            [f"{bc.kind.value} values must have shape {shape}, got {bc.values.shape}"]
-        )
-
-
 def _check_args(cm: CellMap, bc: MicroBCSpec, s: int) -> None:
     """Checks that both derivations make on (cm, bc) for an s-strand spec."""
     if cm.s != s:
@@ -90,7 +82,7 @@ def _check_args(cm: CellMap, bc: MicroBCSpec, s: int) -> None:
             "the mixed problem yields both macroscale conditions at the left end; "
             "the right-end datum adds none"
         )
-    _check_value_shape(bc, s)
+    bc.check_shape(s)
 
 
 def assemble_constraints(cm: CellMap, bc: MicroBCSpec, spec: LatticeSpec):
@@ -105,8 +97,8 @@ def assemble_constraints(cm: CellMap, bc: MicroBCSpec, spec: LatticeSpec):
     s, p, h = spec.s, spec.p, spec.h
     _check_args(cm, bc, s)
 
-    # Basis columns restricted to the centre-stable modes.
-    V = np.column_stack([cm.stable_vectors, cm.center_vector, cm.generalized_vector])
+    # Basis columns: the decaying modes, the constant mode and its Jordan partner.
+    V = np.column_stack([cm.stable_vectors, np.ones(2 * s), cm.generalized_vector])
     R, scale, labels = bc.data_rows(s, h)
     n_data = len(scale)
     M = np.zeros((n_data + 2, s + 1))
@@ -287,12 +279,11 @@ def right_end_bc(spec: LatticeSpec, bc: MicroBCSpec) -> MacroBC:
 
 
 def _mirror(mb: MacroBC) -> MacroBC:
-    """A condition derived on the reversed lattice, in the original x.
+    """A Robin or Neumann condition from the reversed lattice, in the original x.
 
-    d/dx' = -d/dx: a Robin d and Neumann weights change sign.
+    d/dx' = -d/dx: a Robin d and Neumann weights change sign.  No Cauchy
+    pair gets here: `_check_args` refuses a mixed right end.
     """
     if mb.kind == MacroBCKind.ROBIN:
         return replace(mb, side="right", d=-mb.d)
-    if mb.kind == MacroBCKind.NEUMANN:
-        return replace(mb, side="right", rhs_weights=-mb.rhs_weights)
-    return replace(mb, side="right")
+    return replace(mb, side="right", rhs_weights=-mb.rhs_weights)

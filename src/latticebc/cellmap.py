@@ -67,7 +67,6 @@ class CellMap:
     eigenvalues: np.ndarray          # all 2s, ascending by modulus
     stable_values: np.ndarray        # the s-1 decaying ones, complex dtype
     stable_vectors: np.ndarray       # (2s, s-1) real basis of their subspace
-    center_vector: np.ndarray        # the all-ones eigenvector
     generalized_vector: np.ndarray   # advances by 1 per cell, first component 0
     first_cell_gen: np.ndarray       # the same mode on columns 0..p-1
     spectrum_all_real: bool = True
@@ -81,7 +80,7 @@ class CellMap:
 
     @property
     def s(self) -> int:
-        return self.center_vector.size // 2
+        return self.generalized_vector.size // 2
 
 
 def _boundary_reduction(spec: LatticeSpec):
@@ -219,7 +218,6 @@ def build_cell_map(spec: LatticeSpec) -> CellMap:
             eigenvalues=eigenvalues,
             stable_values=stable,
             stable_vectors=C[: 2 * s] @ (modes / np.linalg.norm(modes, axis=0)),
-            center_vector=np.ones(2 * s),
             generalized_vector=gen[: 2 * s],
             first_cell_gen=gen[: p * s],
             spectrum_all_real=all_real,

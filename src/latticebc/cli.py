@@ -137,7 +137,7 @@ def _parse_micro_bc(raw, s: int, side: str) -> MicroBCSpec:
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigParseError(f"micro_bc_{side} is malformed: {exc}") from exc
     try:
-        boundary._check_value_shape(bc, s)
+        bc.check_shape(s)
     except SpecValidationError as exc:
         raise ConfigParseError(f"micro_bc_{side} {exc}") from exc
     return bc
@@ -253,6 +253,13 @@ def _macro_bc_dict(mb, h: float) -> dict:
     return out
 
 
+def _std(v: np.ndarray) -> float:
+    """np.std(v), formed on v over a power of 2 near its largest entry:
+    the same bits, with no square to overflow (beta grows like h^2)."""
+    e = math.frexp(float(np.abs(v).max()))[1]
+    return math.ldexp(float(np.std(np.ldexp(v, -e))), e)
+
+
 def cmd_homogenize(cfg: RunConfig) -> dict:
     spec = cfg.spec
     sm = homogenize.construct_slow_manifold(spec)
@@ -261,8 +268,8 @@ def cmd_homogenize(cfg: RunConfig) -> dict:
         "c": sm.c,
         "alpha": list(sm.alpha),
         "beta": list(sm.beta),
-        "std_alpha": float(np.std(sm.alpha)),
-        "std_beta": float(np.std(sm.beta)),
+        "std_alpha": _std(sm.alpha),
+        "std_beta": _std(sm.beta),
         "iterations": sm.iterations,
         "residual_norm": sm.residual_norm,
     }
@@ -337,13 +344,14 @@ def cmd_validate(cfg: RunConfig) -> dict:
 
 def cmd_dispersion(cfg: RunConfig, k_list) -> dict:
     spec = cfg.spec
-    ks = [float(k) for k in k_list]
-    if not ks:
-        ks = list(np.array([1e-3, 2e-3, 4e-3]) / (spec.p * spec.h))
-    if not all(0.0 < k < math.inf for k in ks):
-        raise ConfigParseError("wavenumbers must be positive and finite")
+    ks = [float(k) for k in k_list] or [q / (spec.p * spec.h) for q in (1e-3, 2e-3, 4e-3)]
+    # In Python floats, which overflow to inf and underflow without a warning.
+    bad = [k for k in ks if not (k > 0.0 and sys.float_info.min <= k * k <= sys.float_info.max)]
+    if bad:
+        raise ConfigParseError(
+            f"wavenumbers must be positive and finite with k*k a normal float, got k = {bad[0]!r}")
     table = [homogenize.dispersion_eigenvalues(spec, k) for k in ks]
-    lam0 = [float(l[0]) for l in table]
+    lam0 = np.array([l[0] for l in table])
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     header = ["k"] + [f"lambda_{i}" for i in range(spec.n_cell)]
     write_csv(
@@ -355,7 +363,8 @@ def cmd_dispersion(cfg: RunConfig, k_list) -> dict:
         "command": "dispersion",
         "k": ks,
         "lambda_0": lam0,
-        "c_fit": homogenize.acoustic_fit(ks, lam0),
+        # the mean of lambda_0 / k^2 over the printed samples
+        "c_fit": float(np.mean(lam0 / np.array(ks) ** 2)),
     }
 
 

@@ -205,12 +205,3 @@ def dispersion_fit(spec: LatticeSpec) -> float:
 
     return float((4.0 * f(k) - f(2.0 * k)) / 3.0)
 
-
-def acoustic_fit(ks, lam0) -> float:
-    """c from samples lambda_0(k) of the acoustic branch.
-
-    Weights each sample by 1/k^4, i.e. least squares on lambda_0/k^2,
-    which keeps the k^4 dispersion correction from biasing the smallest
-    samples.
-    """
-    return float(np.mean(np.array(lam0) / np.asarray(ks, dtype=float) ** 2))

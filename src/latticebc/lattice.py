@@ -111,8 +111,8 @@ class BCKind(str, Enum):
 class MicroBCSpec:
     """Microscale boundary data at one end of the domain.
 
-    values by kind (per strand j unless noted; `value_shape` gives the
-    shapes and `data_rows` the constraints on the first two columns):
+    values by kind (per strand j unless noted; `check_shape` holds the
+    shapes and `data_rows` gives the constraints on the first two columns):
       dirichlet    prescribed displacements b_j
       flux         prescribed gradients d_j: u_inner - u_boundary = h*d_j,
                    the difference pointing into the domain
@@ -139,11 +139,13 @@ class MicroBCSpec:
         if self.side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {self.side!r}")
 
-    def value_shape(self, s: int) -> tuple:
-        """Shape that `values` must have on a lattice of s strands."""
-        if self.kind == BCKind.MIXED:
-            return (3,) if self.side == "left" else (1,)
-        return {BCKind.ROBIN_LIKE: (s, 2), BCKind.CAUCHY_LIKE: (2,)}.get(self.kind, (s,))
+    def check_shape(self, s: int) -> None:
+        """Raise SpecValidationError unless `values` fit a lattice of s strands."""
+        shape = {BCKind.ROBIN_LIKE: (s, 2), BCKind.CAUCHY_LIKE: (2,),
+                 BCKind.MIXED: (3,) if self.side == "left" else (1,)}.get(self.kind, (s,))
+        if self.values.shape != shape:
+            raise SpecValidationError(
+                [f"{self.kind.value} values must have shape {shape}, got {self.values.shape}"])
 
     def data_rows(self, s: int, h: float):
         """The data as rows on u_0 = (x_0, x_1), the first two columns.

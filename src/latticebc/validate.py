@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.blas import dsbmv
+from scipy.linalg.blas import dnrm2, dsbmv
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .boundary import MacroBC, MacroBCKind
@@ -123,9 +123,11 @@ def microscale_slowest_mode(spec: LatticeSpec):
     least r.  Before returning, a factor at some sigma >= lambda (1 - 1e-8)
     must have succeeded (one more dpbtrf if needed), so lambda_min lies
     in (sigma, lambda] up to rounding.  A failed first factor, MAX_SOLVES
-    solves, a dpbtrs info != 0 or a failed certificate (rounding in K~,
-    ~eps ||K~||, above 1e-8 lambda) raise EigenSolveError.  The
-    benchmark lattices take three factors and three solves.
+    solves, a dpbtrs info != 0, a solve whose norm leaves the float range
+    or a failed certificate (rounding in K~, ~eps ||K~||, above 1e-8
+    lambda) raise EigenSolveError.  The norms are BLAS's scaled dnrm2, so
+    no square overflows.  The benchmark lattices take three factors and
+    three solves.
 
     Returns (lambda, w, residual): w of shape (N+1, s), zero at n = 0
     and N, and the relative eigenpair residual
@@ -142,7 +144,7 @@ def microscale_slowest_mode(spec: LatticeSpec):
         )
     tol = 64 * np.finfo(float).eps * gershgorin
     x = root * np.repeat(np.sin(np.pi / N * np.arange(1, N)), s)
-    sigma, x = 0.0, x / np.linalg.norm(x)
+    sigma, x = 0.0, x / dnrm2(x)
     # sigma < lambda_min <= fail: dpbtrf succeeded at sigma and failed at fail
     best, r_prev, fail = None, np.inf, np.inf
     misses = 0   # factors refused since the last one that succeeded
@@ -150,10 +152,14 @@ def microscale_slowest_mode(spec: LatticeSpec):
         y, info = dpbtrs(factor, x, lower=1)
         if info != 0:
             raise EigenSolveError(f"microscale eigensolve failed (dpbtrs info {info})")
-        x = y / np.linalg.norm(y)
+        norm = dnrm2(y)   # about 1 / (lambda - sigma): inf past the largest float
+        if not 0.0 < norm < math.inf:
+            raise EigenSolveError("microscale eigensolve failed: the solve at sigma = "
+                                  f"{sigma:.17g} leaves the float range")
+        x = y / norm
         Kx = dsbmv(s, 1.0, band, x, lower=1)
         theta = float(x @ Kx)
-        r = float(np.linalg.norm(Kx - theta * x))
+        r = dnrm2(Kx - theta * x)
         if best is None or r < best[0]:
             best = (r, theta, x, Kx)
         certified = sigma >= theta * (1 - CERTIFIED_REL)
@@ -192,7 +198,7 @@ def microscale_slowest_mode(spec: LatticeSpec):
             )
     # Kw = M^1/2 K~ v~ and Mw = M^1/2 v~
     Kw, Mw = root * Kv, root * v
-    residual = np.linalg.norm(Kw - lam * Mw) / (np.linalg.norm(Kw) + abs(lam) * np.linalg.norm(Mw))
+    residual = dnrm2(Kw - lam * Mw) / (dnrm2(Kw) + abs(lam) * dnrm2(Mw))
     w = np.zeros((N + 1, s))
     w[1:N, :] = (v / root).reshape(N - 1, s)
     return lam, w, float(residual)

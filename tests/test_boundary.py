@@ -20,7 +20,7 @@ from latticebc import (
     right_end_bc,
 )
 
-from latticebc import boundary, cellmap
+from latticebc import boundary, cellmap, cli
 
 from conftest import make_spec, random_spec
 
@@ -79,6 +79,12 @@ class TestAssembly:
         assert M.shape == (5, 3)
         assert labels == ("b[0,0]", "b[1,0]", "b[0,1]")
 
+    def test_closed_form_requires_two_by_two(self):
+        # demo-5x10 (s = 5, p = 10) at its candidate spacing
+        spec = cli.config_from_dict(cli.preset_config("demo-5x10", h=cli.DEMO5_CANDIDATE_H)).spec
+        with pytest.raises(KindUnsupported, match="s = 2, p = 2, got s = 5, p = 10"):
+            closed_form_bc(build_cell_map(spec), MicroBCSpec.dirichlet_zero(5), spec)
+
     def test_cauchy_like_requires_two_strands(self):
         rng = np.random.default_rng(32)
         spec = random_spec(rng, 3, 2)
@@ -125,7 +131,7 @@ class TestDataRows:
         cm = build_cell_map(spec)
         values = micro_values(np.random.default_rng(38), kind, s)
         M, scale, _ = assemble_constraints(cm, MicroBCSpec(kind, values), spec)
-        basis = [*cm.stable_vectors.T, cm.center_vector, cm.generalized_vector]
+        basis = [*cm.stable_vectors.T, np.ones(2 * s), cm.generalized_vector]
         expected = np.array([ROWS[kind](v, s, values, spec.h) for v in basis]).T
         n_data = expected.shape[0]
         assert M.shape == (n_data + 2, s + 1)

@@ -25,6 +25,7 @@ from latticebc.cli import (
     preset_config,
 )
 from latticebc.errors import ConfigParseError, SpecValidationError
+from latticebc.lattice import MicroBCSpec
 
 MINIMAL = {
     "s": 1, "p": 1, "h": 1.0, "N": 8,
@@ -172,9 +173,12 @@ class TestCommands:
         with pytest.raises(ConfigParseError):
             cmd_dispersion(minimal_cfg, [-1.0])
 
-    @pytest.mark.parametrize("k", [math.inf, math.nan])
+    @pytest.mark.parametrize("k", [math.inf, math.nan, 1e-300, 1e-155, 1e155, 1e300])
     def test_dispersion_rejects_nonfinite(self, minimal_cfg, k):
-        with pytest.raises(ConfigParseError, match="finite"):
+        # k*k must be a normal float.  Unchecked, 1e-300 divided by zero,
+        # 1e-155 reported c_fit = -1.1e295, and 1e155 and 1e300 overflowed
+        # in the square.
+        with pytest.raises(ConfigParseError, match="finite with k\\*k a normal float"):
             cmd_dispersion(minimal_cfg, [1e-3, k])
 
     def test_spectrum_uniform(self, minimal_cfg):
@@ -351,6 +355,90 @@ class TestMainEntry:
             # an infinite value among the centre pair
             assert errors["derive-bc"] == "UnexpectedSpectrum"
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("field,value", [
+        ("h", 1e6), ("h", 1e60), ("h", 1e77), ("h", 1e100), ("h", 1e150),
+        ("rho", 1e150), ("rho", 3e153), ("rho", 1e155), ("rho", 1e300),
+    ])
+    def test_spacing_and_mass_ladder(self, tmp_path, capsys, field, value):
+        # demo-2x2 at spacing h, or with rho[0][0] set: every subcommand
+        # exits 0 or prints one typed error line.  Unchecked, validate's
+        # norms overflowed from h = 1e77 and rho = 3e153, and homogenize's
+        # std_beta from h = 4e77.  Where validate reports, the spacing
+        # symmetry holds: lambda h^2, d/h and the interior errors are those
+        # of h = 1.
+        raw = preset_config("demo-2x2")
+        if field == "h":
+            raw["h"] = value
+        else:
+            raw["rho"][0][0] = value
+        path = tmp_path / "ladder.json"
+        path.write_text(json.dumps(raw))
+        errors = {}
+        for command in COMMANDS:
+            rc = main([command, "--config", str(path), "--out", str(tmp_path / command)])
+            err = capsys.readouterr().err
+            assert (rc, err == "") in ((0, True), (1, False))
+            if rc:
+                assert err.count("\n") == 1 and re.match(r"error: [A-Za-z]+: \S", err)
+                errors[command] = err.split(":")[1].strip()
+        # 1 / (lambda - sigma) leaves the floats at h = 1e150 (lambda ~ 1e-302);
+        # a heavy mass puts rounding in K~ above the 1e-8 lambda certificate
+        if value == 1e150 or field == "rho":
+            assert errors == {"validate": "EigenSolveError"}
+            return
+        assert errors == {}
+        got = json.loads((tmp_path / "validate" / "report.json").read_text())
+        want = cmd_validate(config_from_dict(preset_config("demo-2x2"), {"out": str(tmp_path)}))
+        h = raw["h"]
+        assert got["lambda_micro"] * h * h == pytest.approx(want["lambda_micro"], rel=1e-10)
+        for key in ("d0_over_h", "dL_over_h", "interior_error_robin", "interior_error_dirichlet"):
+            assert got[key] == pytest.approx(want[key], rel=1e-10)
+
+    @pytest.mark.parametrize("kind,left,right", [
+        ("dirichlet", [0.3, -0.2], [0.1, 0.4]),
+        ("flux", [0.4, -0.3], [-0.2, 0.5]),
+        ("robin_like", [[0.1, 0.2], [0.3, -0.1]], [[0.2, 0.1], [0.4, 0.3]]),
+        ("cauchy_like", [0.2, 0.5], [-0.1, 0.3]),
+        ("mixed", [0.1, 0.2, 0.3], [0.4]),
+    ])
+    def test_derive_bc_configured_kinds(self, tmp_path, kind, left, right):
+        # a configured micro-BC at both ends of demo-2x2; the mixed kind
+        # gives a Cauchy pair at the left end and no right-end condition
+        raw = dict(preset_config("demo-2x2"), micro_bc_left={"kind": kind, "values": left},
+                   micro_bc_right={"kind": kind, "values": right})
+        path = tmp_path / "bc.json"
+        path.write_text(json.dumps(raw))
+        assert main(["derive-bc", "--config", str(path), "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        spec = config_from_dict(raw).spec
+        bc_left = MicroBCSpec(kind, left)
+        want_left = latticebc.left_end_bc(spec, bc_left)
+        direct = latticebc.derive_macro_bc(latticebc.build_cell_map(spec), bc_left, spec)
+        if kind == "mixed":
+            assert report["right"] is None
+            wants = [(report["left"], want_left), (report["left"], direct)]
+        else:
+            want_right = latticebc.right_end_bc(spec, MicroBCSpec(kind, right, "right"))
+            wants = [(report["left"], want_left), (report["left"], direct),
+                     (report["right"], want_right)]
+        for got, want in wants:
+            assert (got["kind"], got["side"]) == (want.kind.value, want.side)
+            assert got["rhs_labels"] == list(want.rhs_labels)
+            if kind == "mixed":
+                assert got["d_over_h"] is None and "rhs_weights" not in got
+                np.testing.assert_allclose(got["value_weights"], want.value_weights, rtol=1e-12)
+                np.testing.assert_allclose(got["slope_weights"], want.slope_weights, rtol=1e-12)
+                continue
+            if want.d is None:
+                assert got["d_over_h"] is None
+            else:
+                assert got["d_over_h"] == pytest.approx(want.d / spec.h, rel=1e-12)
+            np.testing.assert_allclose(got["rhs_weights"], want.rhs_weights, rtol=1e-12)
+        assert report["left"]["kind"] == {"dirichlet": "robin", "flux": "neumann",
+                                          "robin_like": "robin", "cauchy_like": "robin",
+                                          "mixed": "cauchy_pair"}[kind]
+
     @pytest.mark.parametrize("side,kind,values", [
         ("left", "dirichlet", [0.0]),
         ("left", "flux", [0.0, 0.0, 0.0]),
@@ -447,6 +535,10 @@ class TestMainEntry:
         assert rc == 0
         lines = (tmp_path / "dispersion.csv").read_text().splitlines()
         assert len(lines) == 3
+        # c_fit is the mean of lambda_0 / k^2 over the printed samples
+        report = json.loads(capsys.readouterr().out)
+        lam0, ks = np.array(report["lambda_0"]), np.array(report["k"])
+        assert report["c_fit"] == float(np.mean(lam0 / ks ** 2))
 
     def test_demo_5x10_runs_with_spacing(self, tmp_path):
         rc = main([
